@@ -21,10 +21,11 @@
 //!    mode (`try_simulate`) refuses it with a typed error instead of
 //!    panicking.
 
-use dollymp_bench::{config_fingerprint, run_named, scale};
+use dollymp_bench::{run_named, scale};
 use dollymp_cluster::guard::{GuardConfig, GuardedScheduler};
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::JobSpec;
+use dollymp_obs::config_fingerprint;
 use dollymp_schedulers::{AdversarialConfig, AdversarialScheduler};
 use dollymp_workload::suite::light_load;
 use serde::Serialize;
@@ -79,14 +80,6 @@ struct Report {
     guarded_no_worse_at_overload: bool,
     sweep: Vec<SweepPoint>,
     adversarial: Adversarial,
-}
-
-/// Zero the wall-clock overhead fields so two reports of the same run
-/// can be compared for equality.
-fn scrub(mut r: SimReport) -> SimReport {
-    r.scheduling_ns = 0;
-    r.sched_overhead = Default::default();
-    r
 }
 
 /// Compress arrivals by `factor`: the same jobs offered `factor`× as
@@ -155,7 +148,8 @@ fn main() {
             "guarded run must complete every job at {factor}x"
         );
         if factor == 1.0 && guarded.guard.is_clean() {
-            transparent &= scrub(bare.clone()) == scrub(guarded.clone());
+            transparent &=
+                bare.clone().without_wall_clock() == guarded.clone().without_wall_clock();
         }
         if factor >= 1.2 {
             no_worse &= guarded.makespan <= bare.makespan;

@@ -18,11 +18,12 @@
 //!    loses strictly fewer tasks (`tasks_requeued`) than `dollymp0`,
 //!    because an evicted primary often has a live clone elsewhere.
 
-use dollymp_bench::{config_fingerprint, run_named, scale};
+use dollymp_bench::{run_named, scale};
 use dollymp_cluster::engine::simulate_with_faults;
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::JobSpec;
 use dollymp_faults::{generate, FaultConfig};
+use dollymp_obs::config_fingerprint;
 use dollymp_workload::suite::light_load;
 use serde::Serialize;
 
@@ -75,14 +76,6 @@ struct Report {
     sweep: Vec<SweepPoint>,
 }
 
-/// Zero the wall-clock overhead fields so two reports of the same run
-/// can be compared for equality.
-fn scrub(mut r: SimReport) -> SimReport {
-    r.scheduling_ns = 0;
-    r.sched_overhead = Default::default();
-    r
-}
-
 fn run_with_faults(
     name: &str,
     cluster: &ClusterSpec,
@@ -129,7 +122,8 @@ fn main() {
     let zero_tl = generate(&cluster, &zero_cfg);
     assert!(zero_tl.is_empty(), "zero-rate config must generate nothing");
     let zero_run = run_with_faults("dollymp0", &cluster, &jobs, &sampler, &zero_tl);
-    let zero_rate_matches_baseline = scrub(baseline.clone()) == scrub(zero_run);
+    let zero_rate_matches_baseline =
+        baseline.clone().without_wall_clock() == zero_run.without_wall_clock();
     assert!(
         zero_rate_matches_baseline,
         "zero-rate fault schedule changed the report"
@@ -159,7 +153,7 @@ fn main() {
                 requeued[si] += r.faults.tasks_requeued;
                 // Property 2: identical seed + timeline → identical report.
                 let again = run_with_faults(name, &cluster, &jobs, &sampler, &faults);
-                deterministic &= scrub(r.clone()) == scrub(again);
+                deterministic &= r.clone().without_wall_clock() == again.without_wall_clock();
             }
             let f = &r.faults;
             println!(

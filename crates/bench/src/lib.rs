@@ -48,18 +48,6 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
     path
 }
 
-/// A deterministic fingerprint of a benchmark's configuration: FNV-1a
-/// over the seed followed by the config serialized as JSON. Stamped into
-/// `BENCH_*.json` artifacts so two result files can be compared at a
-/// glance — equal fingerprints mean the runs used identical parameters.
-///
-/// Delegates to [`dollymp_obs::config_fingerprint`] — journal headers
-/// carry the *same* fingerprint, which is how a flight-recorder journal
-/// is matched to the bench artifact of the run that produced it.
-pub fn config_fingerprint<T: serde::Serialize>(seed: u64, cfg: &T) -> String {
-    dollymp_obs::config_fingerprint(seed, cfg)
-}
-
 /// Run a named scheduler on a workload and return its report.
 pub fn run_named(
     name: &str,
@@ -206,18 +194,6 @@ mod tests {
         );
         // Arrivals sorted, ids preserved.
         assert!(jobs.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-    }
-
-    #[test]
-    fn fingerprint_is_deterministic_and_sensitive() {
-        let cfg = ("paper_30_node", vec![0.0, 1e-3]);
-        let a = config_fingerprint(7, &cfg);
-        let b = config_fingerprint(7, &cfg);
-        assert_eq!(a, b, "same seed + config ⇒ same fingerprint");
-        assert_eq!(a.len(), 16);
-        assert_ne!(a, config_fingerprint(8, &cfg), "seed changes it");
-        let other = ("paper_30_node", vec![0.0]);
-        assert_ne!(a, config_fingerprint(7, &other), "config changes it");
     }
 
     #[test]

@@ -350,6 +350,15 @@ pub struct SimReport {
 }
 
 impl SimReport {
+    /// The report with its wall-clock fields (`scheduling_ns`,
+    /// `sched_overhead`) zeroed. Everything left is deterministic, so two
+    /// runs of the same inputs compare equal.
+    pub fn without_wall_clock(mut self) -> SimReport {
+        self.scheduling_ns = 0;
+        self.sched_overhead = SchedOverhead::default();
+        self
+    }
+
     /// Total flowtime `Σ_j (f_j − a_j)` — the (OPT) objective.
     pub fn total_flowtime(&self) -> u64 {
         self.jobs.iter().map(|j| j.flowtime).sum()

@@ -281,20 +281,12 @@ pub struct SummaryInput<'a> {
     pub remaining_tasks: Vec<u32>,
     /// Per-phase completion flags (Eq. 17).
     pub finished_phases: Vec<bool>,
-    /// Count of fault-induced task losses this job has suffered (0 when
-    /// fault injection is off). A crash that evicts a task's last copy
-    /// re-queues it *without* changing the remaining-task counts — the
-    /// fingerprint above cannot see the loss — so callers bump this epoch
-    /// (`Scheduler::on_task_lost`) to force a recompute and keep the
-    /// cache honest under failures.
-    pub loss_epoch: u64,
 }
 
 #[derive(Debug, Clone)]
 struct CacheEntry {
     remaining_tasks: Vec<u32>,
     finished_phases: Vec<bool>,
-    loss_epoch: u64,
     summary: TransientJob,
 }
 
@@ -339,12 +331,6 @@ impl SummaryCache {
         self.entries.remove(&job);
     }
 
-    /// Drop every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.key = None;
-    }
-
     /// Summarize `inputs` (preserving order), reusing every cached summary
     /// whose remaining-work fingerprint is unchanged; misses are computed
     /// and cached for the next refresh.
@@ -365,8 +351,7 @@ impl SummaryCache {
             match self.entries.get(&input.spec.id) {
                 Some(e)
                     if e.remaining_tasks == input.remaining_tasks
-                        && e.finished_phases == input.finished_phases
-                        && e.loss_epoch == input.loss_epoch =>
+                        && e.finished_phases == input.finished_phases =>
                 {
                     // A served hit must be bit-identical to a fresh
                     // recompute — the cache is an optimization, never a
@@ -399,7 +384,6 @@ impl SummaryCache {
                 CacheEntry {
                     remaining_tasks: input.remaining_tasks.clone(),
                     finished_phases: input.finished_phases.clone(),
-                    loss_epoch: input.loss_epoch,
                     summary: summary.clone(),
                 },
             );
@@ -735,7 +719,6 @@ mod tests {
             spec: &spec,
             remaining_tasks: vec![rem],
             finished_phases: vec![rem == 0],
-            loss_epoch: 0,
         };
         let a = cache.summarize(&[input(4)], totals, 1.5);
         assert_eq!(cache.len(), 1);
@@ -756,38 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_cache_loss_epoch_forces_recompute() {
-        // A crash-induced task loss re-queues a Running task: the
-        // remaining-task counts do NOT change, so only the loss epoch
-        // distinguishes pre-loss from post-loss state. Bumping it must
-        // miss the cache; serving the entry anyway would be a stale hit.
-        let spec = JobSpec::single_phase(JobId(3), 6, Resources::new(1.0, 2.0), 12.0, 2.0);
-        let totals = Resources::new(50.0, 100.0);
-        let mut cache = SummaryCache::new();
-        let input = |epoch: u64| SummaryInput {
-            spec: &spec,
-            remaining_tasks: vec![6],
-            finished_phases: vec![false],
-            loss_epoch: epoch,
-        };
-        let _ = cache.summarize(&[input(0)], totals, 1.5);
-        assert_eq!(cache.len(), 1);
-        // Same fingerprint, bumped epoch: recomputed (and re-cached under
-        // the new epoch — a third call at epoch 1 hits again).
-        let b = cache.summarize(&[input(1)], totals, 1.5);
-        assert_eq!(
-            b[0],
-            TransientJob::from_remaining(&spec, &[6], &[false], totals, 1.5)
-        );
-        let c = cache.summarize(&[input(1)], totals, 1.5);
-        assert_eq!(c[0], b[0]);
-        // Regressing to the old epoch also misses (epoch equality, not
-        // ordering, keys the entry).
-        let d = cache.summarize(&[input(0)], totals, 1.5);
-        assert_eq!(d[0], b[0]);
-    }
-
-    #[test]
     fn summary_cache_invalidates_on_context_change() {
         let spec = JobSpec::single_phase(JobId(1), 2, Resources::new(1.0, 1.0), 8.0, 1.0);
         let mut cache = SummaryCache::new();
@@ -795,7 +746,6 @@ mod tests {
             spec: &spec,
             remaining_tasks: vec![2],
             finished_phases: vec![false],
-            loss_epoch: 0,
         };
         let small = cache.summarize(&[input()], Resources::new(10.0, 10.0), 1.5);
         // Doubling the cluster halves normalized volume; a stale entry

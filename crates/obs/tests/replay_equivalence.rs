@@ -154,17 +154,11 @@ fn rayon_backend_matches_sequential() {
             "{name} faults={wf}: journal differs across backends"
         );
         assert_eq!(
-            serde_json::to_string(&scrub_report(seq_live)).unwrap(),
-            serde_json::to_string(&scrub_report(live.clone())).unwrap(),
+            serde_json::to_string(&seq_live.without_wall_clock()).unwrap(),
+            serde_json::to_string(&live.clone().without_wall_clock()).unwrap(),
             "{name} faults={wf}: live report differs across backends"
         );
     }
-}
-
-fn scrub_report(mut r: SimReport) -> SimReport {
-    r.scheduling_ns = 0;
-    r.sched_overhead = Default::default();
-    r
 }
 
 /// A guarded run of a hostile policy exercises the `GuardDelta` stream:
@@ -221,8 +215,8 @@ fn recording_does_not_perturb_the_simulation() {
             &faults(3),
         );
         assert_eq!(
-            serde_json::to_string(&scrub_report(plain)).unwrap(),
-            serde_json::to_string(&scrub_report(recorded)).unwrap(),
+            serde_json::to_string(&plain.without_wall_clock()).unwrap(),
+            serde_json::to_string(&recorded.without_wall_clock()).unwrap(),
             "{name}: recording changed the simulation outcome"
         );
     }

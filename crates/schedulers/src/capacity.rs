@@ -15,7 +15,7 @@
 //! (b) its elapsed time exceeds `slowdown_threshold ×` the observed mean
 //! duration of its phase.
 
-use crate::common::{place_in_job_order, ready_tasks_of, FreeTracker};
+use crate::common::{place_in_job_order, ready_tasks_of};
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::{JobId, TaskRef};
 use serde::{Deserialize, Serialize};
@@ -80,7 +80,7 @@ impl CapacityScheduler {
         &mut self,
         view: &ClusterView<'_>,
         order: &[JobId],
-        free: &mut FreeTracker,
+        free: &CapacityOverlay<'_>,
     ) -> Vec<Assignment> {
         let mut out = Vec::new();
         let mut placed: HashSet<TaskRef> = HashSet::new();
@@ -96,7 +96,6 @@ impl CapacityScheduler {
             let demand = job.spec().phase(task.phase).demand;
             if let Some(server) = free.first_fit(demand) {
                 free.commit(server, demand);
-                free.note_copy(task);
                 placed.insert(task);
                 out.push(Assignment {
                     task,
@@ -117,7 +116,6 @@ impl CapacityScheduler {
                 }
                 if let Some(server) = free.first_fit(rt.demand) {
                     free.commit(server, rt.demand);
-                    free.note_copy(rt.task);
                     out.push(Assignment {
                         task: rt.task,
                         server,
@@ -133,7 +131,7 @@ impl CapacityScheduler {
         &self,
         view: &ClusterView<'_>,
         order: &[JobId],
-        free: &mut FreeTracker,
+        free: &CapacityOverlay<'_>,
     ) -> Vec<Assignment> {
         let Some(cfg) = self.speculation else {
             return Vec::new();
@@ -165,12 +163,13 @@ impl CapacityScheduler {
                 if !slow {
                     continue;
                 }
-                if free.effective_copies(view, task) > cfg.max_backups {
+                // Each running task is visited once per pass, so its live
+                // copies are its copies for this batch too.
+                if ts.live_copies() > cfg.max_backups {
                     continue;
                 }
                 if let Some(server) = free.first_fit(phase.demand) {
                     free.commit(server, phase.demand);
-                    free.note_copy(task);
                     out.push(Assignment {
                         task,
                         server,
@@ -198,13 +197,13 @@ impl Scheduler for CapacityScheduler {
         order.sort();
         let order: Vec<JobId> = order.into_iter().map(|(_, id)| id).collect();
 
-        let mut free = FreeTracker::new(view);
+        let free = view.capacity().begin_batch();
         let mut batch = if self.recovering.is_empty() {
-            place_in_job_order(view, &order, &mut free)
+            place_in_job_order(view, &order, &free)
         } else {
-            self.place_with_recovery(view, &order, &mut free)
+            self.place_with_recovery(view, &order, &free)
         };
-        batch.extend(self.speculate(view, &order, &mut free));
+        batch.extend(self.speculate(view, &order, &free));
         batch
     }
 

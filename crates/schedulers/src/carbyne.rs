@@ -19,7 +19,7 @@
 //! No cloning — like the other baselines, Carbyne spends resources on
 //! distinct tasks only.
 
-use crate::common::{ready_tasks_of, FreeTracker, ReadyTask};
+use crate::common::{ready_tasks_of, ReadyTask};
 use crate::drf::allocated;
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::JobId;
@@ -39,7 +39,7 @@ impl Scheduler for Carbyne {
         let totals = view.totals();
         let n_jobs = view.num_jobs().max(1);
         let fair = 1.0 / n_jobs as f64;
-        let mut free = FreeTracker::new(view);
+        let free = view.capacity().begin_batch();
         let mut out = Vec::new();
 
         let mut share: HashMap<JobId, f64> = HashMap::new();
@@ -83,7 +83,6 @@ impl Scheduler for Carbyne {
             }
             let server = free.best_fit(rt.demand).expect("fits somewhere");
             free.commit(server, rt.demand);
-            free.note_copy(rt.task);
             *share.get_mut(&jid).expect("tracked") += dominant_share(rt.demand, totals);
             out.push(Assignment {
                 task: rt.task,
@@ -102,7 +101,6 @@ impl Scheduler for Carbyne {
                 if let Some(server) = free.best_fit(tasks[i].demand) {
                     let rt = tasks.remove(i);
                     free.commit(server, rt.demand);
-                    free.note_copy(rt.task);
                     out.push(Assignment {
                         task: rt.task,
                         server,

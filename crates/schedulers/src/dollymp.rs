@@ -18,15 +18,13 @@
 //!    `max_copies − 1` extra copies; the pass is repeated twice, mirroring
 //!    Algorithm 2's "Repeat Step 9 twice".
 
-use crate::common::{FreeTracker, ReadyTask};
+use crate::common::ReadyTask;
 use dollymp_cluster::prelude::*;
 use dollymp_core::hash::FxHashMap;
 use dollymp_core::job::{JobId, PhaseId, TaskId, TaskRef};
 use dollymp_core::online::{best_fit_score, ClonePolicy, PriorityTable};
 use dollymp_core::resources::Resources;
-use dollymp_core::transient::{
-    transient_schedule, SummaryCache, SummaryInput, TransientConfig, TransientJob,
-};
+use dollymp_core::transient::{transient_schedule, SummaryCache, SummaryInput, TransientConfig};
 
 /// A cloning candidate: a task of a §4.1-eligible job, with its demand
 /// and *effective* copy count (view-side live copies plus the primary
@@ -89,7 +87,7 @@ impl<'o> ServerWalk<'o> {
         }
     }
 
-    fn next(&mut self, free: &FreeTracker, min_demand: Resources) -> Option<ServerId> {
+    fn next(&mut self, free: &CapacityOverlay<'_>, min_demand: Resources) -> Option<ServerId> {
         match self {
             ServerWalk::Identity { cursor } => {
                 let sv = free.next_fit_at_or_after(*cursor, min_demand)?;
@@ -166,12 +164,6 @@ pub struct DollyMP {
     /// Eq. 16/17 job summaries memoized across arrivals (jobs whose
     /// remaining work is unchanged are not re-summarized).
     cache: SummaryCache,
-    use_summary_cache: bool,
-    /// Fault-induced task losses per job. A loss re-queues a task without
-    /// changing the remaining-task counts, so the summary-cache
-    /// fingerprint alone cannot see it; the epoch keeps the cache honest
-    /// (see `SummaryInput::loss_epoch`).
-    loss_epochs: FxHashMap<JobId, u64>,
     /// Reusable per-decision-point buffers (see [`Scratch`]).
     scratch: Scratch,
     /// Prepare/placement stage timing of the most recent pass, surfaced
@@ -201,21 +193,9 @@ impl DollyMP {
             clone_policy,
             table: PriorityTable::default(),
             cache: SummaryCache::new(),
-            use_summary_cache: true,
-            loss_epochs: FxHashMap::default(),
             scratch: Scratch::default(),
             last_span: PassSpan::default(),
         }
-    }
-
-    /// Disable the Algorithm 1 summary cache and recompute every job
-    /// summary from scratch at each arrival. Decisions are identical
-    /// either way — this hook exists so tests can pin that equivalence
-    /// (and to measure the cache's benefit in benchmarks).
-    pub fn without_summary_cache(mut self) -> Self {
-        self.use_summary_cache = false;
-        self.cache.clear();
-        self
     }
 
     /// Override the §4.1 small-job gate `δ`.
@@ -231,33 +211,17 @@ impl DollyMP {
     }
 
     fn refresh_priorities(&mut self, view: &ClusterView<'_>) {
-        let totals = view.totals();
-        let w = self.transient.sigma_weight;
         let inputs: Vec<SummaryInput<'_>> = view
             .jobs()
             .map(|j| SummaryInput {
                 spec: j.spec(),
                 remaining_tasks: j.remaining_tasks(),
                 finished_phases: j.finished_phases(),
-                loss_epoch: self.loss_epochs.get(&j.id()).copied().unwrap_or(0),
             })
             .collect();
-        let summaries: Vec<TransientJob> = if self.use_summary_cache {
-            self.cache.summarize(&inputs, totals, w)
-        } else {
-            inputs
-                .iter()
-                .map(|i| {
-                    TransientJob::from_remaining(
-                        i.spec,
-                        &i.remaining_tasks,
-                        &i.finished_phases,
-                        totals,
-                        w,
-                    )
-                })
-                .collect()
-        };
+        let summaries = self
+            .cache
+            .summarize(&inputs, view.totals(), self.transient.sigma_weight);
         let out = transient_schedule(&summaries, &self.transient);
         self.table = PriorityTable::from_output(&summaries, &out);
     }
@@ -291,7 +255,7 @@ impl DollyMP {
         &self,
         view: &ClusterView<'_>,
         order: Option<&[ServerId]>,
-        free: &mut FreeTracker,
+        free: &CapacityOverlay<'_>,
         s: &mut Scratch,
         out: &mut Vec<Assignment>,
     ) {
@@ -613,7 +577,7 @@ impl DollyMP {
     fn place_clones(
         &self,
         order: Option<&[ServerId]>,
-        free: &mut FreeTracker,
+        free: &CapacityOverlay<'_>,
         s: &mut Scratch,
         out: &mut Vec<Assignment>,
     ) -> usize {
@@ -750,15 +714,12 @@ impl Scheduler for DollyMP {
     fn on_job_finish(&mut self, job: &dollymp_cluster::state::JobState) {
         self.table.remove(job.id());
         self.cache.remove(job.id());
-        self.loss_epochs.remove(&job.id());
     }
 
-    fn on_task_lost(&mut self, view: &ClusterView<'_>, task: TaskRef) {
-        // The re-queued task's job lost work the remaining-task
-        // fingerprint cannot see; bump its epoch and re-run Algorithm 1 so
-        // the frozen order reflects the post-crash state of the cluster
-        // (a crash is as much a scheduling shock as an arrival).
-        *self.loss_epochs.entry(task.job).or_insert(0) += 1;
+    fn on_task_lost(&mut self, view: &ClusterView<'_>, _task: TaskRef) {
+        // Re-run Algorithm 1 so the frozen order reflects the post-crash
+        // state of the cluster (a crash is as much a scheduling shock as
+        // an arrival).
         self.refresh_priorities(view);
     }
 
@@ -803,9 +764,9 @@ impl DollyMP {
             &mut s.members,
         );
         let prepare_ns = pass_start.elapsed().as_nanos() as u64;
-        let mut free = FreeTracker::new(view);
+        let free = view.capacity().begin_batch();
         let mut batch: Vec<Assignment> = Vec::new();
-        self.place_primaries(view, order, &mut free, &mut s, &mut batch);
+        self.place_primaries(view, order, &free, &mut s, &mut batch);
         // "Repeat Step 9 twice if there are available resources" — but at
         // most one *new* clone per task per decision point (clone
         // containers are granted round by round). The candidate set is
@@ -813,7 +774,7 @@ impl DollyMP {
         self.clone_candidates(view, &batch, &mut s);
         if !s.candidates.is_empty() {
             for _ in 0..2 {
-                if self.place_clones(order, &mut free, &mut s, &mut batch) == 0 {
+                if self.place_clones(order, &free, &mut s, &mut batch) == 0 {
                     break;
                 }
             }
@@ -970,47 +931,6 @@ mod tests {
             first_finisher.clone_copies, 0,
             "no clones while the equal-size backlog existed"
         );
-    }
-
-    #[test]
-    fn summary_cache_equivalent_under_faults() {
-        // Crashes re-queue tasks without changing remaining-task counts;
-        // the loss-epoch must keep cached and uncached DollyMP decision-
-        // identical through fault recovery.
-        use dollymp_cluster::engine::simulate_with_faults;
-        use dollymp_cluster::fault::{FaultEvent, FaultTimeline, TimedFault};
-        let cluster = ClusterSpec::paper_30_node();
-        let jobs: Vec<JobSpec> = (0..12)
-            .map(|i| JobSpec::single_phase(JobId(i), 10, Resources::new(2.0, 4.0), 15.0, 5.0))
-            .collect();
-        let sampler = DurationSampler::new(23, StragglerModel::ParetoFit);
-        let tl = FaultTimeline::new(vec![
-            TimedFault {
-                at: 6,
-                event: FaultEvent::Crash(ServerId(2)),
-            },
-            TimedFault {
-                at: 40,
-                event: FaultEvent::Restore(ServerId(2)),
-            },
-            TimedFault {
-                at: 10,
-                event: FaultEvent::Crash(ServerId(20)),
-            },
-            TimedFault {
-                at: 55,
-                event: FaultEvent::Restore(ServerId(20)),
-            },
-        ]);
-        let cfg = EngineConfig::default();
-        let mut cached = DollyMP::new();
-        let r1 = simulate_with_faults(&cluster, jobs.clone(), &sampler, &mut cached, &cfg, &tl);
-        let mut uncached = DollyMP::new().without_summary_cache();
-        let r2 = simulate_with_faults(&cluster, jobs, &sampler, &mut uncached, &cfg, &tl);
-        assert!(r1.faults.copies_evicted > 0, "the crashes must bite");
-        assert_eq!(r1.jobs, r2.jobs);
-        assert_eq!(r1.faults, r2.faults);
-        assert_eq!(r1.makespan, r2.makespan);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! first-fit placement, and the speculation budget is a fixed fraction
 //! rather than Hopper's optimal √-allocation.
 
-use crate::common::{ready_tasks_of, FreeTracker};
+use crate::common::ready_tasks_of;
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::JobId;
 use serde::{Deserialize, Serialize};
@@ -73,7 +73,7 @@ impl Scheduler for Hopper {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        let mut free = FreeTracker::new(view);
+        let free = view.capacity().begin_batch();
         let mut out = Vec::new();
 
         // Smallest virtual size first.
@@ -101,7 +101,6 @@ impl Scheduler for Hopper {
                 }
                 if let Some(server) = free.first_fit(rt.demand) {
                     free.commit(server, rt.demand);
-                    free.note_copy(rt.task);
                     out.push(Assignment {
                         task: rt.task,
                         server,
@@ -143,13 +142,9 @@ impl Scheduler for Hopper {
                 if held >= entitlement {
                     break;
                 }
-                if free.effective_copies(view, task) >= self.cfg.max_copies {
-                    continue;
-                }
                 let demand = job.spec().phase(task.phase).demand;
                 if let Some(server) = free.first_fit(demand) {
                     free.commit(server, demand);
-                    free.note_copy(task);
                     out.push(Assignment {
                         task,
                         server,

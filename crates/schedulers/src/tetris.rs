@@ -16,7 +16,7 @@
 //! any job-scheduling coordination) — the strawman DollyMP is compared
 //! against.
 
-use crate::common::{ready_tasks_of, FreeTracker, ReadyTask};
+use crate::common::{ready_tasks_of, ReadyTask};
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::{JobId, TaskRef};
 use dollymp_core::online::best_fit_score;
@@ -81,7 +81,7 @@ impl Scheduler for Tetris {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        let mut free = FreeTracker::new(view);
+        let free = view.capacity().begin_batch();
         let mut out = Vec::new();
 
         // Per-job SRPT bonus and remaining ready tasks.
@@ -113,7 +113,6 @@ impl Scheduler for Tetris {
                 let Some((_, idx)) = best else { break };
                 let (_, rt) = ready.swap_remove(idx);
                 free.commit(server, rt.demand);
-                free.note_copy(rt.task);
                 out.push(Assignment {
                     task: rt.task,
                     server,
@@ -138,18 +137,24 @@ impl Scheduler for Tetris {
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
             for job in jobs {
-                let mut candidates = job.running_tasks();
+                // Each candidate with its copy count: live copies for a
+                // running task, one for a primary placed in this batch
+                // (a copy the view cannot see yet).
+                let mut candidates: Vec<(TaskRef, u32)> = job
+                    .running_tasks()
+                    .into_iter()
+                    .map(|t| (t, job.task(t.phase, t.task).live_copies()))
+                    .collect();
                 if let Some(extra) = placed_primary.get(&job.id()) {
-                    candidates.extend(extra.iter().copied());
+                    candidates.extend(extra.iter().map(|&t| (t, 1)));
                 }
-                for task in candidates {
-                    if free.effective_copies(view, task) >= self.max_copies {
+                for (task, copies) in candidates {
+                    if copies >= self.max_copies {
                         continue;
                     }
                     let demand = job.spec().phase(task.phase).demand;
                     if let Some(server) = free.best_fit(demand) {
                         free.commit(server, demand);
-                        free.note_copy(task);
                         out.push(Assignment {
                             task,
                             server,

@@ -19,7 +19,6 @@ use dollymp_cluster::prelude::*;
 use dollymp_core::job::{JobId, TaskRef};
 use dollymp_core::online::ClonePolicy;
 use dollymp_core::transient::{TransientConfig, PRIORITY_UNSELECTED};
-use dollymp_schedulers::common::FreeTracker;
 use std::collections::HashMap;
 
 /// The RM + AMs control plane as one schedulable unit.
@@ -88,7 +87,7 @@ impl YarnSystem {
     /// Place one container, preferring the task's replica servers (AM
     /// second-level scheduling), falling back to the best-aligned server.
     fn place_with_locality(
-        free: &mut FreeTracker,
+        free: &CapacityOverlay<'_>,
         req: &ContainerRequest,
         avoid: &[ServerId],
     ) -> Option<ServerId> {
@@ -107,7 +106,7 @@ impl YarnSystem {
     /// the avoid list when any other server fits — used for clones, which
     /// must spread across machines to be worth anything.
     fn place_with_locality_avoiding(
-        free: &mut FreeTracker,
+        free: &CapacityOverlay<'_>,
         req: &ContainerRequest,
         avoid: &[ServerId],
     ) -> Option<ServerId> {
@@ -147,7 +146,7 @@ impl Scheduler for YarnSystem {
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let groups = self.priority_groups(view);
-        let mut free = FreeTracker::new(view);
+        let free = view.capacity().begin_batch();
         let mut out: Vec<Assignment> = Vec::new();
 
         // Gather container requests per job (ready tasks only). The RM
@@ -177,9 +176,8 @@ impl Scheduler for YarnSystem {
                     continue;
                 };
                 for req in reqs {
-                    if let Some(server) = Self::place_with_locality(&mut free, &req, &[]) {
+                    if let Some(server) = Self::place_with_locality(&free, &req, &[]) {
                         free.commit(server, req.demand);
-                        free.note_copy(req.task);
                         out.push(Assignment {
                             task: req.task,
                             server,
@@ -223,17 +221,24 @@ impl Scheduler for YarnSystem {
                         if !self.clone_policy.small_job_gate(mine, others) {
                             continue;
                         }
-                        let mut candidates = job.running_tasks();
+                        // Copies per candidate: live ones for a running
+                        // task, one for a primary placed in this batch (a
+                        // task cloned in this batch is skipped below).
+                        let mut candidates: Vec<(TaskRef, u32)> = job
+                            .running_tasks()
+                            .into_iter()
+                            .map(|t| (t, job.task(t.phase, t.task).live_copies()))
+                            .collect();
                         if let Some(extra) = newly_placed.get(&jid) {
-                            candidates.extend(extra.iter().copied());
+                            candidates.extend(extra.iter().map(|&t| (t, 1)));
                         }
-                        for task in candidates {
+                        for (task, copies) in candidates {
                             let am_budget = request_index
                                 .get(&task)
                                 .map(|r| r.max_clones + 1)
                                 .unwrap_or(self.am_cfg.max_clones + 1);
                             let cap = self.clone_policy.max_copies.min(am_budget);
-                            if free.effective_copies(view, task) >= cap {
+                            if copies >= cap {
                                 continue;
                             }
                             if cloned_this_batch.contains(&task) {
@@ -258,10 +263,9 @@ impl Scheduler for YarnSystem {
                                 .cloned()
                                 .unwrap_or_else(|| ContainerRequest::new(task, demand));
                             if let Some(server) =
-                                Self::place_with_locality_avoiding(&mut free, &req, &avoid)
+                                Self::place_with_locality_avoiding(&free, &req, &avoid)
                             {
                                 free.commit(server, demand);
-                                free.note_copy(task);
                                 cloned_this_batch.insert(task);
                                 batch_servers.entry(task).or_default().push(server);
                                 out.push(Assignment {

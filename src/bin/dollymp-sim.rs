@@ -92,6 +92,14 @@ fn parse_args() -> Args {
             }
         }
     }
+    if let Some(load) = args.load.filter(|l| !(l.is_finite() && *l > 0.0)) {
+        eprintln!("--load must be a finite number > 0, got {load}");
+        usage()
+    }
+    if args.servers == 0 {
+        eprintln!("--servers must be at least 1");
+        usage()
+    }
     args
 }
 

@@ -52,13 +52,6 @@ fn fault_timeline(seed: u64, nservers: u32, horizon: u64) -> FaultTimeline {
     FaultTimeline::new(events)
 }
 
-/// Zero the wall-clock fields so deterministic runs compare equal.
-fn scrub(mut r: SimReport) -> SimReport {
-    r.scheduling_ns = 0;
-    r.sched_overhead = Default::default();
-    r
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -122,7 +115,7 @@ proptest! {
                 &EngineConfig::default(), &faults,
             );
             prop_assert!(guarded.guard.is_clean(), "{}: no interventions", name);
-            prop_assert_eq!(scrub(unguarded), scrub(guarded), "{} must be unchanged", name);
+            prop_assert_eq!(unguarded.without_wall_clock(), guarded.without_wall_clock(), "{} must be unchanged", name);
         }
     }
 }
