@@ -196,24 +196,26 @@ fn main() {
             ..GuardConfig::default()
         },
     );
-    let contained = try_simulate(
+    let contained = try_simulate_with_faults(
         &cluster,
         adv_jobs.clone(),
         &sampler,
         &mut guard,
         &EngineConfig::default(),
+        &FaultTimeline::empty(),
     )
     .expect("guard must contain the adversary");
     assert_eq!(contained.jobs.len(), adv_jobs.len());
     assert!(!contained.guard.is_clean());
 
     let mut bare_adv = AdversarialScheduler::new();
-    let strict_err = try_simulate(
+    let strict_err = try_simulate_with_faults(
         &cluster,
         adv_jobs.clone(),
         &sampler,
         &mut bare_adv,
         &EngineConfig::default(),
+        &FaultTimeline::empty(),
     )
     .expect_err("strict mode must refuse the adversary");
     let adversarial = Adversarial {

@@ -54,11 +54,7 @@ fn case(seed: u64, njobs: usize) -> Case {
         cluster,
         jobs,
         sampler: DurationSampler::new(seed, StragglerModel::ParetoFit),
-        cfg: EngineConfig {
-            record_utilization: true,
-            record_timeline: true,
-            ..EngineConfig::default()
-        },
+        cfg: EngineConfig::default(),
         faults,
     }
 }
@@ -66,22 +62,23 @@ fn case(seed: u64, njobs: usize) -> Case {
 fn run_off(c: &Case, name: &str) -> (SimReport, u64) {
     let mut s = dollymp_schedulers::by_name(name).expect("known scheduler");
     let t0 = Instant::now();
-    let r = simulate_with_faults(
+    let r = try_simulate_with_faults(
         &c.cluster,
         c.jobs.clone(),
         &c.sampler,
         s.as_mut(),
         &c.cfg,
         &c.faults,
-    );
+    )
+    .expect("run completes");
     (r, t0.elapsed().as_nanos() as u64)
 }
 
 fn run_on(c: &Case, name: &str) -> (SimReport, Journal, u64) {
     let mut s = dollymp_schedulers::by_name(name).expect("known scheduler");
-    let mut journal = Journal::for_run(name, SEED, &c.cfg, &c.cfg);
+    let mut journal = Journal::for_run(name, SEED, &c.cfg);
     let t0 = Instant::now();
-    let r = simulate_recorded(
+    let r = try_simulate_with_faults_recorded(
         &c.cluster,
         c.jobs.clone(),
         &c.sampler,
@@ -89,7 +86,8 @@ fn run_on(c: &Case, name: &str) -> (SimReport, Journal, u64) {
         &c.cfg,
         &c.faults,
         &mut journal,
-    );
+    )
+    .expect("run completes");
     (r, journal, t0.elapsed().as_nanos() as u64)
 }
 
@@ -158,6 +156,14 @@ fn main() {
             let reg = MetricsRegistry::from_events(&journal.events);
             registry_decision_points = reg.counter("decision_points");
             assert_eq!(registry_decision_points, on_report.decision_points);
+            // The timeline folded from the same stream has one span per
+            // ended copy, and one utilization sample per visited slot.
+            let series = Series::from_events(&journal.events);
+            let ended = reg.counter("copies_won")
+                + reg.counter("copies_killed")
+                + reg.counter("copies_evicted");
+            assert_eq!(series.timeline.len() as u64, ended);
+            assert_eq!(series.utilization.len() as u64, reg.counter("slot_ticks"));
             off_best = off_best.min(off_ns);
             on_best = on_best.min(on_ns);
             events = journal.events.len() as u64;
@@ -193,11 +199,12 @@ fn main() {
             "protocol",
             serde_json::Value::Str(
                 "paper_30_node, 120 Google-like jobs, fault timeline \
-                 (crashes + fail-slow), utilization + timeline recording \
-                 on. Best-of-5 wall time per configuration; recorder_off \
-                 = NullRecorder (steady-state path), recorder_on = full \
-                 in-memory journal. Every recorded run is replay-verified \
-                 byte-identical before timing is reported"
+                 (crashes + fail-slow). Best-of-5 wall time per \
+                 configuration; recorder_off = NullRecorder (steady-state \
+                 path), recorder_on = full in-memory journal, including \
+                 one utilization sample per visited slot. Every recorded \
+                 run is replay-verified byte-identical before timing is \
+                 reported"
                     .to_string(),
             ),
         ),

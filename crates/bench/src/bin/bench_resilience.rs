@@ -19,7 +19,6 @@
 //!    because an evicted primary often has a live clone elsewhere.
 
 use dollymp_bench::{run_named, scale};
-use dollymp_cluster::engine::simulate_with_faults;
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::JobSpec;
 use dollymp_faults::{generate, FaultConfig};
@@ -85,7 +84,7 @@ fn run_with_faults(
 ) -> SimReport {
     let mut s =
         dollymp_schedulers::by_name(name).unwrap_or_else(|| panic!("unknown scheduler {name}"));
-    simulate_with_faults(
+    try_simulate_with_faults(
         cluster,
         jobs.to_vec(),
         sampler,
@@ -93,6 +92,7 @@ fn run_with_faults(
         &EngineConfig::default(),
         faults,
     )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn p99(mut flows: Vec<u64>) -> u64 {

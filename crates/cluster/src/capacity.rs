@@ -484,21 +484,18 @@ impl<'a> CapacityOverlay<'a> {
         if !demand.fits_in(m) {
             return;
         }
-        if let Some((b, _)) = *best {
-            // `demand · node_max` upper-bounds every leaf score below `x`
-            // (f64 multiply and add are monotone), so prune unless the
-            // bound can strictly beat the incumbent.
-            if best_fit_score(demand, m) <= b {
-                return;
-            }
+        // `demand · node_max` upper-bounds every leaf score below `x`
+        // (f64 multiply and add are monotone), so prune unless the bound
+        // can strictly beat the incumbent. At a leaf the bound is the
+        // leaf's own score, so reaching the leaf test means it wins.
+        let score = best_fit_score(demand, m);
+        if best.is_some_and(|(b, _)| score <= b) {
+            return;
         }
         if x >= self.idx.size {
             let i = x - self.idx.size;
             if i < self.idx.n {
-                let score = best_fit_score(demand, m);
-                if best.map(|(b, _)| score > b).unwrap_or(true) {
-                    *best = Some((score, i));
-                }
+                *best = Some((score, i));
             }
             return;
         }

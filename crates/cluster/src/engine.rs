@@ -14,18 +14,21 @@
 //!
 //! Assignment validation is strict: an over-committing or ill-typed
 //! assignment aborts the run, because a buggy scheduler must fail loudly
-//! rather than silently skew an experiment. Two fail-loud flavours exist:
-//! [`simulate`] / [`simulate_with_faults`] panic (the historical research
-//! contract), while [`try_simulate`] / [`try_simulate_with_faults`]
-//! return a typed [`SimError`] so a sweep harness can contain one bad
-//! run without dying. To *tolerate* a misbehaving policy instead of
-//! aborting on it, wrap it in [`crate::guard::GuardedScheduler`].
+//! rather than silently skew an experiment. There are three entry
+//! points: [`try_simulate_with_faults_recorded`] is the engine itself
+//! (fault timeline, flight recorder, typed [`SimError`] on abort);
+//! [`try_simulate_with_faults`] is the same run with recording off; and
+//! [`simulate`] is the fault-free convenience that panics with the
+//! error's message (the historical research contract). To *tolerate* a
+//! misbehaving policy instead of aborting on it, wrap it in
+//! [`crate::guard::GuardedScheduler`]. Copy timelines and utilization
+//! series are folded from the event stream by [`crate::trace::Series`].
 
 use crate::capacity::CapacityIndex;
 use crate::error::{AdmissionError, ProgressSnapshot, RejectReason, SimError};
 use crate::execution::DurationSampler;
 use crate::fault::{FaultEvent, FaultTimeline};
-use crate::metrics::{CopyOutcome, CopySpan, FaultStats, JobMetrics, SchedOverhead, SimReport};
+use crate::metrics::{utilization, CopyOutcome, FaultStats, JobMetrics, SchedOverhead, SimReport};
 use crate::scheduler::{Assignment, Scheduler};
 use crate::spec::{ClusterSpec, ServerId};
 use crate::state::{CopyKind, CopyState, JobState, TaskStatus};
@@ -65,13 +68,6 @@ pub struct EngineConfig {
     /// the paper's YARN layer places clones on replicas to avoid exactly
     /// this cost.
     pub remote_penalty: f64,
-    /// Record cluster utilization `(slot, cpu fraction, memory fraction)`
-    /// after every decision point into [`SimReport::utilization`].
-    /// Off by default — the series can be large on long runs.
-    pub record_utilization: bool,
-    /// Record every copy's lifetime into [`SimReport::timeline`]
-    /// (exportable as a Chrome trace). Off by default.
-    pub record_timeline: bool,
 }
 
 impl Default for EngineConfig {
@@ -81,8 +77,6 @@ impl Default for EngineConfig {
             max_slots: 500_000_000,
             tick: None,
             remote_penalty: 1.0,
-            record_utilization: false,
-            record_timeline: false,
         }
     }
 }
@@ -95,13 +89,15 @@ struct Event {
     copy_idx: u32,
 }
 
-/// Run one simulation to completion and return the report.
+/// Run one fault-free simulation to completion and return the report.
 ///
 /// Jobs are admitted at their `arrival` slots; the run ends when every job
 /// has completed. Durations come from `sampler` (scheduler-independent —
 /// see [`crate::execution`]) scaled by server speed at placement.
 ///
 /// # Panics
+/// Wherever [`try_simulate_with_faults`] returns an error, with the
+/// error's `Display` form as the message:
 /// * if any phase demand fits no server in the cluster (the job could
 ///   never run);
 /// * on invalid assignments (unknown job/task, over-commitment, cloning a
@@ -116,34 +112,19 @@ pub fn simulate(
     scheduler: &mut dyn Scheduler,
     cfg: &EngineConfig,
 ) -> SimReport {
-    simulate_with_faults(
+    match try_simulate_with_faults(
         cluster,
         jobs,
         sampler,
         scheduler,
         cfg,
         &FaultTimeline::empty(),
-    )
-}
-
-/// Non-panicking [`simulate`]: every abort path comes back as a typed
-/// [`SimError`] instead of a panic, so one bad policy or workload cannot
-/// kill a whole sweep. The happy path is byte-identical to [`simulate`].
-pub fn try_simulate(
-    cluster: &ClusterSpec,
-    jobs: Vec<JobSpec>,
-    sampler: &DurationSampler,
-    scheduler: &mut dyn Scheduler,
-    cfg: &EngineConfig,
-) -> Result<SimReport, SimError> {
-    try_simulate_with_faults(
-        cluster,
-        jobs,
-        sampler,
-        scheduler,
-        cfg,
-        &FaultTimeline::empty(),
-    )
+    ) {
+        Ok(report) => report,
+        // Fail-loud contract: the panic message is the typed error's
+        // Display form (it preserves the historical phrasing).
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// Deferred scheduler callback for a fault applied this slot: mutations
@@ -152,32 +133,6 @@ enum FaultHook {
     Down(ServerId),
     Up(ServerId),
     Lost(TaskRef),
-}
-
-/// [`simulate`] under a fault schedule (see [`crate::fault`]).
-///
-/// Fault events fire at their slot *after* completions of that slot are
-/// retired and *before* arrivals and the scheduling pass, so a task
-/// re-queued by a crash is schedulable in the same slot its copies died.
-/// With an empty timeline this is byte-identical to [`simulate`].
-///
-/// Additional panics over [`simulate`]:
-/// * an assignment targeting a downed server;
-/// * a `Restore` for a server that is not down (generator bug).
-pub fn simulate_with_faults(
-    cluster: &ClusterSpec,
-    jobs: Vec<JobSpec>,
-    sampler: &DurationSampler,
-    scheduler: &mut dyn Scheduler,
-    cfg: &EngineConfig,
-    faults: &FaultTimeline,
-) -> SimReport {
-    match try_simulate_with_faults(cluster, jobs, sampler, scheduler, cfg, faults) {
-        Ok(report) => report,
-        // Fail-loud contract: the panic message is the typed error's
-        // Display form (it preserves the historical phrasing).
-        Err(e) => panic!("{e}"),
-    }
 }
 
 /// Snapshot of the engine's progress state for stall/overrun errors.
@@ -194,8 +149,10 @@ fn progress_snapshot(active: &BTreeMap<JobId, JobState>, last_progress: Time) ->
     }
 }
 
-/// Non-panicking [`simulate_with_faults`]: returns `Err` where the
-/// panicking entry points abort, byte-identical reports otherwise.
+/// A run under a fault schedule (see [`crate::fault`]) with recording
+/// off: [`try_simulate_with_faults_recorded`] with a [`NullRecorder`].
+/// Every abort path comes back as a typed [`SimError`], so one bad policy
+/// or workload cannot kill a whole sweep.
 pub fn try_simulate_with_faults(
     cluster: &ClusterSpec,
     jobs: Vec<JobSpec>,
@@ -215,36 +172,22 @@ pub fn try_simulate_with_faults(
     )
 }
 
-/// [`simulate_with_faults`] with a flight recorder attached: every
-/// observable state transition is emitted as a [`TraceEvent`] (see
-/// [`crate::trace`]). With a [`NullRecorder`] this is byte-identical to
-/// the unrecorded entry points — the recorder's `enabled()` flag is read
-/// once and every emission site is skipped.
+/// The engine: run to completion under a fault schedule with a flight
+/// recorder attached, emitting every observable state transition as a
+/// [`TraceEvent`] (see [`crate::trace`]).
 ///
-/// # Panics
-/// Exactly where [`simulate_with_faults`] panics.
-pub fn simulate_recorded(
-    cluster: &ClusterSpec,
-    jobs: Vec<JobSpec>,
-    sampler: &DurationSampler,
-    scheduler: &mut dyn Scheduler,
-    cfg: &EngineConfig,
-    faults: &FaultTimeline,
-    recorder: &mut dyn Recorder,
-) -> SimReport {
-    match try_simulate_with_faults_recorded(
-        cluster, jobs, sampler, scheduler, cfg, faults, recorder,
-    ) {
-        Ok(report) => report,
-        // Fail-loud contract: identical to `simulate_with_faults`.
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Non-panicking [`simulate_recorded`]: the recorded counterpart of
-/// [`try_simulate_with_faults`]. Events are emitted in deterministic
-/// engine order; on an `Err` return the journal simply stops at the
-/// abort point (replay is only defined for completed runs).
+/// Fault events fire at their slot *after* completions of that slot are
+/// retired and *before* arrivals and the scheduling pass, so a task
+/// re-queued by a crash is schedulable in the same slot its copies died.
+/// Faults add two abort paths: an assignment targeting a downed server,
+/// and a malformed timeline (e.g. a `Restore` for a server that is not
+/// down).
+///
+/// Events are emitted in deterministic engine order; on an `Err` return
+/// the journal simply stops at the abort point (replay is only defined
+/// for completed runs). The recorder's `enabled()` flag is read once:
+/// with a [`NullRecorder`] every emission site is skipped and the report
+/// is byte-identical to a recorded run's.
 #[allow(clippy::too_many_arguments)]
 pub fn try_simulate_with_faults_recorded(
     cluster: &ClusterSpec,
@@ -292,8 +235,6 @@ pub fn try_simulate_with_faults_recorded(
     // One entry per decision point: schedule() plus the on-arrival
     // refreshes that preceded it in the same slot (§6.3.3 overhead).
     let mut overhead_samples: Vec<u64> = Vec::new();
-    let mut utilization: Vec<(Time, f64, f64)> = Vec::new();
-    let mut timeline: Vec<CopySpan> = Vec::new();
     let mut now: Time = 0;
     // Last slot at which anything observable happened (admission, launch
     // or retirement) — surfaced in stall/overrun errors for debugging.
@@ -375,7 +316,6 @@ pub fn try_simulate_with_faults_recorded(
                 &ev,
                 &mut finished_jobs,
                 &mut children_scratch,
-                cfg.record_timeline.then_some(&mut timeline),
                 recording,
                 recorder,
             );
@@ -414,7 +354,6 @@ pub fn try_simulate_with_faults_recorded(
                 &mut events,
                 &mut seq,
                 &mut fstats,
-                cfg.record_timeline.then_some(&mut timeline),
                 &mut hooks,
                 recording,
                 recorder,
@@ -531,7 +470,7 @@ pub fn try_simulate_with_faults_recorded(
                 last_progress = now;
             }
         }
-        if cfg.record_utilization {
+        if recording {
             // O(1): the index keeps the total-free running sum up to date
             // across launch/retire/fault events (exact integer milli-unit
             // arithmetic, so it equals a full re-summation bit-for-bit).
@@ -541,21 +480,8 @@ pub fn try_simulate_with_faults_recorded(
                 free.fold_total_free(),
                 "incremental total-free counter drifted from the re-summed value"
             );
-            let used = totals - total_free;
-            let cpu = if totals.cpu() > 0.0 {
-                used.cpu() / totals.cpu()
-            } else {
-                0.0
-            };
-            let mem = if totals.mem() > 0.0 {
-                used.mem() / totals.mem()
-            } else {
-                0.0
-            };
-            utilization.push((now, cpu, mem));
-            if recording {
-                recorder.record(TraceEvent::UtilSample { at: now, cpu, mem });
-            }
+            let (cpu, mem) = utilization(totals, total_free);
+            recorder.record(TraceEvent::UtilSample { at: now, cpu, mem });
         }
     }
 
@@ -579,8 +505,8 @@ pub fn try_simulate_with_faults_recorded(
         decision_points,
         scheduling_ns,
         sched_overhead: SchedOverhead::from_samples(&overhead_samples),
-        utilization,
-        timeline,
+        utilization: Vec::new(),
+        timeline: Vec::new(),
         faults: fstats,
         guard: scheduler.guard_stats().unwrap_or_default(),
     })
@@ -620,7 +546,6 @@ fn apply_fault(
     events: &mut BinaryHeap<Reverse<Event>>,
     seq: &mut u64,
     stats: &mut FaultStats,
-    mut timeline: Option<&mut Vec<CopySpan>>,
     hooks: &mut Vec<FaultHook>,
     recording: bool,
     recorder: &mut dyn Recorder,
@@ -685,17 +610,6 @@ fn apply_fault(
                                     kind: c.kind,
                                     start: c.start,
                                     work_lost_norm: wasted,
-                                });
-                            }
-                            if let Some(tl) = timeline.as_deref_mut() {
-                                tl.push(CopySpan {
-                                    task: tref,
-                                    copy_idx: c.copy_idx,
-                                    server: c.server,
-                                    kind: c.kind,
-                                    start: c.start,
-                                    end: now,
-                                    outcome: CopyOutcome::Evicted,
                                 });
                             }
                         }
@@ -803,7 +717,6 @@ fn retire_copy(
     ev: &Event,
     finished_jobs: &mut Vec<JobId>,
     children_scratch: &mut Vec<PhaseId>,
-    mut timeline: Option<&mut Vec<CopySpan>>,
     recording: bool,
     recorder: &mut dyn Recorder,
 ) {
@@ -835,21 +748,6 @@ fn retire_copy(
                 server: c.server,
                 kind: c.kind,
                 start: c.start,
-                outcome: if c.copy_idx == ev.copy_idx {
-                    CopyOutcome::Won
-                } else {
-                    CopyOutcome::Killed
-                },
-            });
-        }
-        if let Some(tl) = timeline.as_deref_mut() {
-            tl.push(CopySpan {
-                task: ev.task,
-                copy_idx: c.copy_idx,
-                server: c.server,
-                kind: c.kind,
-                start: c.start,
-                end: now,
                 outcome: if c.copy_idx == ev.copy_idx {
                     CopyOutcome::Won
                 } else {
@@ -1108,6 +1006,7 @@ mod tests {
     use crate::execution::StragglerModel;
     use crate::scheduler::FifoFirstFit;
     use crate::spec::{ServerId, ServerSpec};
+    use crate::trace::Series;
     use dollymp_core::job::PhaseSpec;
 
     fn det_sampler() -> DurationSampler {
@@ -1116,6 +1015,27 @@ mod tests {
 
     fn one_server(cpu: f64, mem: f64) -> ClusterSpec {
         ClusterSpec::new(vec![ServerSpec::new(cpu, mem)])
+    }
+
+    /// A fault-free run folded into its timeline and utilization series.
+    fn recorded(
+        cluster: &ClusterSpec,
+        jobs: Vec<JobSpec>,
+        sampler: &DurationSampler,
+        scheduler: &mut dyn Scheduler,
+    ) -> Series {
+        let mut series = Series::default();
+        try_simulate_with_faults_recorded(
+            cluster,
+            jobs,
+            sampler,
+            scheduler,
+            &EngineConfig::default(),
+            &FaultTimeline::empty(),
+            &mut series,
+        )
+        .unwrap();
+        series
     }
 
     #[test]
@@ -1420,12 +1340,7 @@ mod tests {
             ServerSpec::new(1.0, 1.0).with_speed(2.0),
         ]);
         let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 10.0, 0.0);
-        let cfg = EngineConfig {
-            record_timeline: true,
-            ..Default::default()
-        };
-        let mut s = AtomicCloner;
-        let r = simulate(&cluster, vec![job], &det_sampler(), &mut s, &cfg);
+        let r = recorded(&cluster, vec![job], &det_sampler(), &mut AtomicCloner);
         assert_eq!(r.timeline.len(), 2, "primary + clone both recorded");
         let winner = r
             .timeline
@@ -1451,29 +1366,31 @@ mod tests {
     }
 
     #[test]
-    fn timeline_off_by_default() {
+    fn reports_leave_the_series_to_the_event_stream() {
         let cluster = one_server(2.0, 2.0);
         let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 3.0, 0.0);
-        let r = simulate(
+        let mut series = Series::default();
+        let r = try_simulate_with_faults_recorded(
             &cluster,
             vec![job],
             &det_sampler(),
             &mut FifoFirstFit,
             &EngineConfig::default(),
-        );
+            &FaultTimeline::empty(),
+            &mut series,
+        )
+        .unwrap();
         assert!(r.timeline.is_empty());
         assert!(r.utilization.is_empty());
+        assert_eq!(series.timeline.len(), 1);
+        assert!(!series.utilization.is_empty());
     }
 
     #[test]
     fn utilization_series_tracks_busy_cluster() {
         let cluster = one_server(2.0, 4.0);
         let job = JobSpec::single_phase(JobId(0), 2, Resources::new(1.0, 2.0), 4.0, 0.0);
-        let cfg = EngineConfig {
-            record_utilization: true,
-            ..Default::default()
-        };
-        let r = simulate(&cluster, vec![job], &det_sampler(), &mut FifoFirstFit, &cfg);
+        let r = recorded(&cluster, vec![job], &det_sampler(), &mut FifoFirstFit);
         // After the first decision point both tasks run: 100 % CPU + mem.
         assert!(!r.utilization.is_empty());
         let (_, cpu, mem) = r.utilization[0];
@@ -1483,7 +1400,7 @@ mod tests {
 
     /// The incremental used-capacity counters behind the O(1) utilization
     /// probe must agree with an *independent* re-summation, bit for bit:
-    /// every recorded sample is re-derived from the copy timeline (the
+    /// every sample is re-derived from the copy timeline (the
     /// demands of all copies live at the sample slot) and compared with
     /// `==` on the raw `f64`s — integer milli-unit arithmetic on both
     /// sides, so there is no tolerance to hide drift behind.
@@ -1506,14 +1423,9 @@ mod tests {
             );
         }
         let specs: Vec<JobSpec> = jobs.clone();
-        let cfg = EngineConfig {
-            record_utilization: true,
-            record_timeline: true,
-            ..Default::default()
-        };
         let sampler = DurationSampler::new(5, StragglerModel::ParetoFit);
-        let r = simulate(&cluster, jobs, &sampler, &mut FifoFirstFit, &cfg);
-        assert!(r.utilization.len() >= 12, "one sample per decision point");
+        let r = recorded(&cluster, jobs, &sampler, &mut FifoFirstFit);
+        assert!(r.utilization.len() >= 12, "one sample per visited slot");
         let totals = cluster.totals();
         for &(slot, cpu, mem) in &r.utilization {
             // A copy occupies its server over [start, end): launches of
@@ -1650,7 +1562,7 @@ mod tests {
         }
 
         #[test]
-        fn empty_timeline_matches_plain_simulate() {
+        fn recorded_empty_timeline_matches_plain_simulate() {
             let cluster = ClusterSpec::paper_30_node();
             let jobs: Vec<JobSpec> = (0..6)
                 .map(|i| JobSpec::single_phase(JobId(i), 20, Resources::new(2.0, 4.0), 12.0, 4.0))
@@ -1658,14 +1570,18 @@ mod tests {
             let sampler = DurationSampler::new(7, StragglerModel::ParetoFit);
             let cfg = EngineConfig::default();
             let a = simulate(&cluster, jobs.clone(), &sampler, &mut FifoFirstFit, &cfg);
-            let b = simulate_with_faults(
+            let mut series = Series::default();
+            let b = try_simulate_with_faults_recorded(
                 &cluster,
                 jobs,
                 &sampler,
                 &mut FifoFirstFit,
                 &cfg,
                 &FaultTimeline::empty(),
-            );
+                &mut series,
+            )
+            .unwrap();
+            assert!(!series.timeline.is_empty());
             assert_eq!(a.jobs, b.jobs);
             assert_eq!(a.makespan, b.makespan);
             assert_eq!(a.decision_points, b.decision_points);
@@ -1680,18 +1596,17 @@ mod tests {
             let cluster = ClusterSpec::homogeneous(2, 1.0, 1.0);
             let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 10.0, 0.0);
             let tl = FaultTimeline::new(vec![crash(4, 0), restore(6, 0)]);
-            let cfg = EngineConfig {
-                record_timeline: true,
-                ..Default::default()
-            };
-            let r = simulate_with_faults(
+            let mut series = Series::default();
+            let r = try_simulate_with_faults_recorded(
                 &cluster,
                 vec![job],
                 &det_sampler(),
                 &mut FifoFirstFit,
-                &cfg,
+                &EngineConfig::default(),
                 &tl,
-            );
+                &mut series,
+            )
+            .unwrap();
             assert_eq!(r.jobs[0].flowtime, 14, "4 lost + full 10-slot rerun");
             assert_eq!(r.faults.server_crashes, 1);
             assert_eq!(r.faults.server_recoveries, 1);
@@ -1703,7 +1618,7 @@ mod tests {
             // Re-execution is a fresh primary, not a clone.
             assert_eq!(r.jobs[0].clone_copies, 0);
             assert_eq!(r.jobs[0].tasks_cloned, 0);
-            let evicted: Vec<_> = r
+            let evicted: Vec<_> = series
                 .timeline
                 .iter()
                 .filter(|c| c.outcome == CopyOutcome::Evicted)
@@ -1711,7 +1626,7 @@ mod tests {
             assert_eq!(evicted.len(), 1);
             assert_eq!(evicted[0].server, ServerId(0));
             assert_eq!(evicted[0].end, 4);
-            let winner = r
+            let winner = series
                 .timeline
                 .iter()
                 .find(|c| c.outcome == CopyOutcome::Won)
@@ -1728,14 +1643,15 @@ mod tests {
             let cluster = ClusterSpec::homogeneous(2, 1.0, 1.0);
             let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 10.0, 0.0);
             let tl = FaultTimeline::new(vec![crash(2, 0)]);
-            let r = simulate_with_faults(
+            let r = try_simulate_with_faults(
                 &cluster,
                 vec![job],
                 &det_sampler(),
                 &mut AtomicCloner,
                 &EngineConfig::default(),
                 &tl,
-            );
+            )
+            .unwrap();
             assert_eq!(r.jobs[0].flowtime, 10, "clone finishes on time");
             assert_eq!(r.faults.copies_evicted, 1);
             assert_eq!(r.faults.tasks_saved_by_clone, 1);
@@ -1761,14 +1677,15 @@ mod tests {
                 at: 5,
                 event: FaultEvent::Degrade(ServerId(0), 0.5),
             }]);
-            let r = simulate_with_faults(
+            let r = try_simulate_with_faults(
                 &cluster,
                 vec![j0, j1],
                 &det_sampler(),
                 &mut FifoFirstFit,
                 &EngineConfig::default(),
                 &tl,
-            );
+            )
+            .unwrap();
             let by_id = r.by_id();
             // 5 slots done, 5 remaining stretched 2× ⇒ finish at 15.
             assert_eq!(by_id[&JobId(0)].finish, 15);
@@ -1786,14 +1703,15 @@ mod tests {
             let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 3.0, 0.0);
             let tl =
                 FaultTimeline::new(vec![crash(2, 0), crash(3, 0), restore(5, 0), restore(8, 0)]);
-            let r = simulate_with_faults(
+            let r = try_simulate_with_faults(
                 &cluster,
                 vec![job],
                 &det_sampler(),
                 &mut FifoFirstFit,
                 &EngineConfig::default(),
                 &tl,
-            );
+            )
+            .unwrap();
             assert_eq!(r.jobs[0].finish, 11, "rerun starts at the second restore");
             assert_eq!(
                 r.faults.server_crashes, 1,
@@ -1804,24 +1722,28 @@ mod tests {
         }
 
         #[test]
-        #[should_panic(expected = "not down")]
-        fn restore_of_up_server_panics() {
+        fn restore_of_up_server_is_an_invalid_timeline() {
             let cluster = ClusterSpec::homogeneous(1, 1.0, 1.0);
             let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 3.0, 0.0);
             let tl = FaultTimeline::new(vec![restore(1, 0)]);
-            let _ = simulate_with_faults(
+            let err = try_simulate_with_faults(
                 &cluster,
                 vec![job],
                 &det_sampler(),
                 &mut FifoFirstFit,
                 &EngineConfig::default(),
                 &tl,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidTimeline { at: 1, .. }),
+                "{err}"
             );
+            assert!(err.to_string().contains("not down"), "{err}");
         }
 
         #[test]
-        #[should_panic(expected = "downed server")]
-        fn assignment_to_downed_server_panics() {
+        fn assignment_to_downed_server_is_rejected() {
             struct Blind;
             impl Scheduler for Blind {
                 fn name(&self) -> String {
@@ -1841,14 +1763,20 @@ mod tests {
             let cluster = ClusterSpec::homogeneous(2, 1.0, 1.0);
             let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 3.0, 0.0);
             let tl = FaultTimeline::new(vec![crash(0, 0), restore(9, 0)]);
-            let _ = simulate_with_faults(
+            let err = try_simulate_with_faults(
                 &cluster,
                 vec![job],
                 &det_sampler(),
                 &mut Blind,
                 &EngineConfig::default(),
                 &tl,
-            );
+            )
+            .unwrap_err();
+            match &err {
+                SimError::Rejected(a) => assert_eq!(a.reason, RejectReason::ServerDown),
+                other => panic!("expected a ServerDown rejection, got {other}"),
+            }
+            assert!(err.to_string().contains("downed server"), "{err}");
         }
 
         #[test]
@@ -1869,15 +1797,18 @@ mod tests {
                 },
             ]);
             let cfg = EngineConfig::default();
-            let a = simulate_with_faults(
+            let a = try_simulate_with_faults(
                 &cluster,
                 jobs.clone(),
                 &sampler,
                 &mut FifoFirstFit,
                 &cfg,
                 &tl,
-            );
-            let b = simulate_with_faults(&cluster, jobs, &sampler, &mut FifoFirstFit, &cfg, &tl);
+            )
+            .unwrap();
+            let b =
+                try_simulate_with_faults(&cluster, jobs, &sampler, &mut FifoFirstFit, &cfg, &tl)
+                    .unwrap();
             assert_eq!(a.jobs, b.jobs);
             assert_eq!(a.faults, b.faults);
             assert_eq!(a.makespan, b.makespan);

@@ -12,8 +12,8 @@
 //!   Resource Manager's request validation;
 //! * [`AdmissionError`] — one rejected assignment with full context;
 //! * [`SimError`] — everything that can abort a run, returned by
-//!   [`crate::engine::try_simulate`] /
-//!   [`crate::engine::try_simulate_with_faults`].
+//!   [`crate::engine::try_simulate_with_faults`] /
+//!   [`crate::engine::try_simulate_with_faults_recorded`].
 //!
 //! [`crate::engine::simulate`] keeps its fail-loud semantics by
 //! unwrapping the `Result`: the panic message is the error's `Display`

@@ -64,8 +64,7 @@ pub struct TimedFault {
 
 /// A deterministic, time-sorted fault schedule for one simulation run.
 ///
-/// An empty timeline makes `simulate_with_faults` byte-identical to
-/// [`crate::engine::simulate`].
+/// An empty timeline is what [`crate::engine::simulate`] runs under.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultTimeline {
     events: Vec<TimedFault>,

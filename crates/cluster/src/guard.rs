@@ -14,9 +14,11 @@
 //!   batch-local replica of the engine's own rules before the engine
 //!   sees it; invalid assignments are dropped and counted by
 //!   [`RejectReason`] instead of aborting the run.
-//! * **Watchdog** — each decision pass is timed against a wall-clock
-//!   budget (default: the paper's 20 ms contract). Overruns count as
-//!   strikes.
+//! * **Watchdog** — each decision point is timed against a wall-clock
+//!   budget (default: the paper's 20 ms contract): the inner policy's
+//!   `on_job_arrival` calls of the slot plus its `schedule` pass, the
+//!   same span as one [`crate::metrics::SchedOverhead`] sample.
+//!   Overruns count as strikes.
 //! * **Panic isolation** — a panicking policy is caught via
 //!   `catch_unwind`; its internal state is then considered poisoned and
 //!   it is quarantined immediately.
@@ -46,7 +48,7 @@ use dollymp_core::job::{JobId, TaskRef};
 use dollymp_core::resources::Resources;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Clone-throttle hysteresis thresholds on cluster utilization (the max
 /// of the CPU and memory used fractions).
@@ -72,8 +74,9 @@ impl Default for CloneThrottle {
 /// Tunables for [`GuardedScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardConfig {
-    /// Wall-clock budget for one decision pass (watchdog). Defaults to
-    /// the paper's §6.3.3 scheduling-overhead contract of 20 ms.
+    /// Wall-clock budget for one decision point — the slot's arrival
+    /// hooks plus the scheduling pass (watchdog). Defaults to the
+    /// paper's §6.3.3 scheduling-overhead contract of 20 ms.
     pub budget: Duration,
     /// Offending passes (any rejection, a budget overrun, or a rescued
     /// stall) tolerated before the policy is quarantined and replaced by
@@ -144,6 +147,9 @@ pub struct GuardedScheduler<S> {
     /// Deferred assignments awaiting replay (bounded by
     /// `cfg.pending_cap`).
     pending: VecDeque<Assignment>,
+    /// Time the inner policy spent in this slot's `on_job_arrival`
+    /// calls, charged to the watchdog at the next pass.
+    arrival_time: Duration,
 }
 
 impl<S: Scheduler> GuardedScheduler<S> {
@@ -164,6 +170,7 @@ impl<S: Scheduler> GuardedScheduler<S> {
             down: BTreeSet::new(),
             throttling: false,
             pending: VecDeque::new(),
+            arrival_time: Duration::ZERO,
         }
     }
 
@@ -225,18 +232,7 @@ impl<S: Scheduler> GuardedScheduler<S> {
         let Some(th) = self.cfg.clone_throttle else {
             return false;
         };
-        let totals = view.totals();
-        let used = totals - view.total_free();
-        let cpu = if totals.cpu() > 0.0 {
-            used.cpu() / totals.cpu()
-        } else {
-            0.0
-        };
-        let mem = if totals.mem() > 0.0 {
-            used.mem() / totals.mem()
-        } else {
-            0.0
-        };
+        let (cpu, mem) = crate::metrics::utilization(view.totals(), view.total_free());
         let util = cpu.max(mem);
         if self.throttling {
             if util < th.low {
@@ -368,7 +364,9 @@ impl<S: Scheduler> Scheduler for GuardedScheduler<S> {
     }
 
     fn on_job_arrival(&mut self, view: &ClusterView<'_>, job: JobId) {
+        let t0 = Instant::now();
         self.contained(view.now, |s| s.on_job_arrival(view, job));
+        self.arrival_time += t0.elapsed();
     }
 
     fn on_job_finish(&mut self, job: &crate::state::JobState) {
@@ -393,17 +391,19 @@ impl<S: Scheduler> Scheduler for GuardedScheduler<S> {
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let now = view.now;
         let throttle = self.update_throttle(view);
+        let arrival_time = std::mem::take(&mut self.arrival_time);
 
         // Raw batch: fallback if quarantined, otherwise the inner policy
-        // under panic isolation and the watchdog clock.
+        // under panic isolation and the watchdog clock, which also counts
+        // the slot's arrival hooks.
         let mut offended = false;
         let mut raw = if self.quarantined {
             self.stats.fallback_passes += 1;
             self.fallback.schedule(view)
         } else {
-            let t0 = std::time::Instant::now();
+            let t0 = Instant::now();
             let batch = self.contained(now, |s| s.schedule(view));
-            if t0.elapsed() > self.cfg.budget {
+            if arrival_time + t0.elapsed() > self.cfg.budget {
                 self.stats.budget_overruns += 1;
                 offended = true;
             }
@@ -491,8 +491,9 @@ impl<S: Scheduler> Scheduler for GuardedScheduler<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, try_simulate, EngineConfig};
+    use crate::engine::{simulate, try_simulate_with_faults, EngineConfig};
     use crate::execution::{DurationSampler, StragglerModel};
+    use crate::fault::FaultTimeline;
     use crate::spec::ClusterSpec;
     use dollymp_core::job::JobSpec;
     use dollymp_core::resources::Resources;
@@ -565,7 +566,9 @@ mod tests {
         let s = sampler();
         let cfg = EngineConfig::default();
         let mut guard = GuardedScheduler::new(PanicAt { k: 2, calls: 0 });
-        let report = try_simulate(&c, jobs(4), &s, &mut guard, &cfg).expect("contained");
+        let report =
+            try_simulate_with_faults(&c, jobs(4), &s, &mut guard, &cfg, &FaultTimeline::empty())
+                .expect("contained");
         assert_eq!(report.jobs.len(), 4, "every job completes");
         assert_eq!(report.guard.policy_panics, 1);
         assert!(report.guard.quarantined_at.is_some());
@@ -588,7 +591,9 @@ mod tests {
                 ..GuardConfig::default()
             },
         );
-        let report = try_simulate(&c, jobs(4), &s, &mut guard, &cfg).expect("contained");
+        let report =
+            try_simulate_with_faults(&c, jobs(4), &s, &mut guard, &cfg, &FaultTimeline::empty())
+                .expect("contained");
         assert_eq!(report.jobs.len(), 4);
         assert!(report.guard.total_rejections() > 0);
         assert!(report.guard.quarantined_at.is_some());
@@ -619,9 +624,48 @@ mod tests {
                 ..GuardConfig::default()
             },
         );
-        let report = try_simulate(&c, jobs(2), &s, &mut guard, &cfg).expect("contained");
+        let report =
+            try_simulate_with_faults(&c, jobs(2), &s, &mut guard, &cfg, &FaultTimeline::empty())
+                .expect("contained");
         assert!(report.guard.budget_overruns > 0);
         assert!(report.guard.quarantined_at.is_none());
+    }
+
+    #[test]
+    fn watchdog_counts_slow_arrival_hooks() {
+        struct SlowArrival;
+        impl Scheduler for SlowArrival {
+            fn name(&self) -> String {
+                "slow-arrival".into()
+            }
+            fn on_job_arrival(&mut self, _view: &ClusterView<'_>, _job: JobId) {
+                std::thread::sleep(Duration::from_millis(3));
+            }
+            fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+                FifoFirstFit.schedule(view)
+            }
+        }
+        let mut guard = GuardedScheduler::with_config(
+            SlowArrival,
+            GuardConfig {
+                budget: Duration::from_millis(1),
+                max_strikes: u32::MAX,
+                ..GuardConfig::default()
+            },
+        );
+        let report = try_simulate_with_faults(
+            &cluster(),
+            jobs(2),
+            &sampler(),
+            &mut guard,
+            &EngineConfig::default(),
+            &FaultTimeline::empty(),
+        )
+        .expect("contained");
+        assert!(
+            report.guard.budget_overruns >= 1,
+            "a decision point whose arrival hooks overrun the budget is an overrun"
+        );
     }
 
     #[test]
@@ -645,7 +689,9 @@ mod tests {
                 ..GuardConfig::default()
             },
         );
-        let report = try_simulate(&c, jobs(3), &s, &mut guard, &cfg).expect("rescued");
+        let report =
+            try_simulate_with_faults(&c, jobs(3), &s, &mut guard, &cfg, &FaultTimeline::empty())
+                .expect("rescued");
         assert_eq!(report.jobs.len(), 3);
         assert!(report.guard.stall_rescues > 0);
         assert!(
@@ -697,7 +743,9 @@ mod tests {
                 ..GuardConfig::default()
             },
         );
-        let report = try_simulate(&c, jobs(4), &s, &mut guard, &cfg).expect("capped");
+        let report =
+            try_simulate_with_faults(&c, jobs(4), &s, &mut guard, &cfg, &FaultTimeline::empty())
+                .expect("capped");
         assert_eq!(report.jobs.len(), 4, "deferral still completes the run");
         assert!(report.guard.deferred > 0, "the cap bit at least once");
         assert_eq!(report.guard.deferrals_dropped, 0);

@@ -18,10 +18,11 @@
 //! * [`view`] — the read-only snapshot schedulers decide on;
 //! * [`scheduler`] — the [`scheduler::Scheduler`] trait every policy
 //!   implements, plus a FIFO/first-fit reference policy;
-//! * [`engine`] — the simulation loop ([`engine::simulate`] and its
-//!   fault-injected variant [`engine::simulate_with_faults`], plus the
-//!   non-panicking [`engine::try_simulate`] /
-//!   [`engine::try_simulate_with_faults`]);
+//! * [`engine`] — the simulation loop: the engine
+//!   [`engine::try_simulate_with_faults_recorded`] (fault timeline,
+//!   recorder, typed errors), its unrecorded
+//!   [`engine::try_simulate_with_faults`], and the panicking fault-free
+//!   convenience [`engine::simulate`];
 //! * [`error`] — the typed admission/abort taxonomy
 //!   ([`error::RejectReason`], [`error::SimError`]);
 //! * [`guard`] — the [`guard::GuardedScheduler`] containment wrapper
@@ -30,8 +31,9 @@
 //! * [`fault`] — timed fault events (crash / restore / fail-slow) and
 //!   the sorted timeline the engine consumes;
 //! * [`trace`] — the flight-recorder event schema ([`trace::Event`]) and
-//!   the [`trace::Recorder`] sink trait the engine emits through
-//!   ([`engine::simulate_recorded`]); consumers (journal, metrics
+//!   the [`trace::Recorder`] sink trait the engine emits through, plus
+//!   [`trace::Series`], which folds the stream into the copy timeline
+//!   and the utilization series; the other consumers (journal, metrics
 //!   registry, replay verifier) live in the `dollymp-obs` crate;
 //! * [`metrics`] — per-job metrics, reports, CDF helpers.
 //!
@@ -74,8 +76,7 @@ pub mod view;
 pub mod prelude {
     pub use crate::capacity::{CapacityIndex, CapacityOverlay};
     pub use crate::engine::{
-        simulate, simulate_recorded, simulate_with_faults, try_simulate, try_simulate_with_faults,
-        try_simulate_with_faults_recorded, EngineConfig,
+        simulate, try_simulate_with_faults, try_simulate_with_faults_recorded, EngineConfig,
     };
     pub use crate::error::{AdmissionError, ProgressSnapshot, RejectReason, SimError};
     pub use crate::execution::{DurationSampler, StragglerModel};
@@ -88,6 +89,6 @@ pub mod prelude {
     pub use crate::scheduler::{clone_allowed, Assignment, FifoFirstFit, Scheduler};
     pub use crate::spec::{ClusterSpec, ServerId, ServerSpec};
     pub use crate::state::{CopyKind, CopyState, JobState, PhaseState, TaskState, TaskStatus};
-    pub use crate::trace::{Event as TraceEvent, NullRecorder, PassSpan, Recorder};
+    pub use crate::trace::{Event as TraceEvent, NullRecorder, PassSpan, Recorder, Series};
     pub use crate::view::ClusterView;
 }

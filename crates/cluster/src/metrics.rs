@@ -5,6 +5,7 @@ use crate::error::RejectReason;
 use crate::spec::ServerId;
 use crate::state::CopyKind;
 use dollymp_core::job::{JobId, TaskRef};
+use dollymp_core::resources::Resources;
 use dollymp_core::time::Time;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -33,10 +34,21 @@ pub struct CopySpan {
     pub kind: CopyKind,
     /// Start slot.
     pub start: Time,
-    /// End slot (completion or kill).
+    /// End slot (completion, kill or eviction).
     pub end: Time,
-    /// Won or killed.
+    /// Won, killed or evicted.
     pub outcome: CopyOutcome,
+}
+
+/// Busy fractions `(cpu, mem)` of a cluster with capacity `totals` and
+/// `free` left unused; a dimension with zero capacity reads 0.
+pub fn utilization(totals: Resources, free: Resources) -> (f64, f64) {
+    let used = totals - free;
+    let frac = |used: f64, total: f64| if total > 0.0 { used / total } else { 0.0 };
+    (
+        frac(used.cpu(), totals.cpu()),
+        frac(used.mem(), totals.mem()),
+    )
 }
 
 /// Render copy spans as a Chrome-tracing (`chrome://tracing`,
@@ -339,13 +351,15 @@ pub struct SimReport {
     /// written before the guard existed still deserialize.
     #[serde(default)]
     pub guard: GuardStats,
-    /// Cluster utilization samples `(slot, cpu fraction, mem fraction)`
-    /// taken after every decision point — empty unless
-    /// `EngineConfig::record_utilization` was set.
+    /// Always empty in reports the engine writes; kept so archived
+    /// reports and existing readers still load. The utilization series
+    /// of a run is folded from its event stream by
+    /// [`crate::trace::Series`].
     pub utilization: Vec<(Time, f64, f64)>,
-    /// Every copy's lifetime — empty unless
-    /// `EngineConfig::record_timeline` was set. Export with
-    /// [`timeline_to_chrome_trace`].
+    /// Always empty in reports the engine writes; kept so archived
+    /// reports and existing readers still load. The copy timeline of a
+    /// run is folded from its event stream by [`crate::trace::Series`]
+    /// (export with [`timeline_to_chrome_trace`]).
     pub timeline: Vec<CopySpan>,
 }
 
@@ -416,18 +430,6 @@ impl SimReport {
             .collect()
     }
 
-    /// Time-weighted mean CPU utilization over the run (0 when the
-    /// utilization series was not recorded or has fewer than 2 samples).
-    pub fn mean_cpu_utilization(&self) -> f64 {
-        time_weighted_mean(&self.utilization, |&(_, c, _)| c)
-    }
-
-    /// Time-weighted mean memory utilization (see
-    /// [`SimReport::mean_cpu_utilization`]).
-    pub fn mean_mem_utilization(&self) -> f64 {
-        time_weighted_mean(&self.utilization, |&(_, _, m)| m)
-    }
-
     /// Cumulative flowtime ordered by arrival — the Fig. 7 series.
     pub fn cumulative_flowtime_by_arrival(&self) -> Vec<(Time, u64)> {
         let mut jobs: Vec<_> = self.jobs.iter().collect();
@@ -468,27 +470,6 @@ impl SimReport {
             );
         }
         out
-    }
-}
-
-fn time_weighted_mean<F: Fn(&(Time, f64, f64)) -> f64>(
-    series: &[(Time, f64, f64)],
-    pick: F,
-) -> f64 {
-    if series.len() < 2 {
-        return 0.0;
-    }
-    let mut weighted = 0.0;
-    let mut span = 0.0;
-    for w in series.windows(2) {
-        let dt = w[1].0.saturating_sub(w[0].0) as f64;
-        weighted += pick(&w[0]) * dt;
-        span += dt;
-    }
-    if span > 0.0 {
-        weighted / span
-    } else {
-        0.0
     }
 }
 
@@ -757,15 +738,10 @@ mod tests {
     }
 
     #[test]
-    fn utilization_means_are_time_weighted() {
-        let mut r = report(vec![jm(0, 0, 10, 2)]);
-        // 100% CPU for 1 slot, then 0% for 9 slots → mean 0.1.
-        r.utilization = vec![(0, 1.0, 0.5), (1, 0.0, 0.0), (10, 0.0, 0.0)];
-        assert!((r.mean_cpu_utilization() - 0.1).abs() < 1e-12);
-        assert!((r.mean_mem_utilization() - 0.05).abs() < 1e-12);
-        // Unrecorded series → 0.
-        r.utilization.clear();
-        assert_eq!(r.mean_cpu_utilization(), 0.0);
+    fn utilization_reads_zero_on_a_zero_capacity_dimension() {
+        let totals = Resources::new(4.0, 0.0);
+        assert_eq!(utilization(totals, Resources::new(1.0, 0.0)), (0.75, 0.0));
+        assert_eq!(utilization(Resources::ZERO, Resources::ZERO), (0.0, 0.0));
     }
 
     #[test]

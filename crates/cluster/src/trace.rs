@@ -23,8 +23,13 @@
 //! loop is single-threaded and every tie is broken deterministically),
 //! so journals are byte-identical across runs and across sequential vs
 //! rayon experiment fan-out.
+//!
+//! The per-run series — every copy's lifetime and the cluster
+//! utilization after every visited slot — exist only as events. [`Series`]
+//! folds them, either live as a [`Recorder`] or afterwards from a
+//! recorded journal with [`Series::from_events`].
 
-use crate::metrics::{CopyOutcome, GuardStats, JobMetrics};
+use crate::metrics::{CopyOutcome, CopySpan, GuardStats, JobMetrics};
 use crate::spec::ServerId;
 use crate::state::CopyKind;
 use dollymp_core::job::{JobId, TaskRef};
@@ -193,9 +198,9 @@ pub enum Event {
         /// Counter-wise change since the previous pass.
         delta: GuardStats,
     },
-    /// A cluster-utilization sample (only emitted when
-    /// `EngineConfig::record_utilization` is set, mirroring the report's
-    /// series).
+    /// A cluster-utilization sample, emitted after every visited slot
+    /// (the busy fractions once that slot's launches are applied). Folded
+    /// into a series by [`Series`].
     UtilSample {
         /// Sample slot.
         at: Time,
@@ -294,8 +299,8 @@ pub trait Recorder {
 }
 
 /// The no-op recorder: [`Recorder::enabled`] is `false`, so the engine
-/// skips every emission site. This is what the plain `simulate` entry
-/// points use.
+/// skips every emission site. This is what `simulate` and
+/// `try_simulate_with_faults` use.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullRecorder;
 
@@ -314,6 +319,83 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
 
     fn record(&mut self, ev: Event) {
         (**self).record(ev)
+    }
+}
+
+/// The copy timeline and utilization series of one run, folded from its
+/// event stream: [`Event::CopyRetire`] and [`Event::CopyEvict`] become
+/// [`CopySpan`]s and [`Event::UtilSample`] becomes a sample, both in
+/// emission order. Pass it to the engine as the recorder, or build it
+/// from a recorded journal with [`Series::from_events`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Series {
+    /// Every copy's lifetime, in the order the copies ended. Export with
+    /// [`crate::metrics::timeline_to_chrome_trace`].
+    pub timeline: Vec<CopySpan>,
+    /// Cluster utilization `(slot, cpu fraction, mem fraction)` after
+    /// every visited slot.
+    pub utilization: Vec<(Time, f64, f64)>,
+}
+
+impl Series {
+    /// Fold a recorded event stream.
+    pub fn from_events<'a, I: IntoIterator<Item = &'a Event>>(events: I) -> Series {
+        let mut s = Series::default();
+        for ev in events {
+            s.fold(ev);
+        }
+        s
+    }
+
+    fn fold(&mut self, ev: &Event) {
+        let (end, task, copy_idx, server, kind, start, outcome) = match *ev {
+            Event::CopyRetire {
+                at,
+                task,
+                copy_idx,
+                server,
+                kind,
+                start,
+                outcome,
+            } => (at, task, copy_idx, server, kind, start, outcome),
+            Event::CopyEvict {
+                at,
+                task,
+                copy_idx,
+                server,
+                kind,
+                start,
+                ..
+            } => (
+                at,
+                task,
+                copy_idx,
+                server,
+                kind,
+                start,
+                CopyOutcome::Evicted,
+            ),
+            Event::UtilSample { at, cpu, mem } => {
+                self.utilization.push((at, cpu, mem));
+                return;
+            }
+            _ => return,
+        };
+        self.timeline.push(CopySpan {
+            task,
+            copy_idx,
+            server,
+            kind,
+            start,
+            end,
+            outcome,
+        });
+    }
+}
+
+impl Recorder for Series {
+    fn record(&mut self, ev: Event) {
+        self.fold(&ev);
     }
 }
 

@@ -232,15 +232,17 @@ proptest! {
         let jobs = chaotic_workload(seed, 10);
         let faults = chaotic_faults(seed, 3, 80);
         let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
-        let cfg = EngineConfig { record_timeline: true, ..Default::default() };
+        let cfg = EngineConfig::default();
 
         let run = |s: u64| {
             let mut chaos = ChaosScheduler::new(s ^ 0xC0FFEE);
-            simulate_with_faults(
-                &cluster, jobs.clone(), &sampler, &mut chaos, &cfg, &faults,
-            ).without_wall_clock()
+            let mut series = Series::default();
+            let r = try_simulate_with_faults_recorded(
+                &cluster, jobs.clone(), &sampler, &mut chaos, &cfg, &faults, &mut series,
+            ).unwrap().without_wall_clock();
+            (r, series)
         };
-        let r = run(seed);
+        let (r, series) = run(seed);
 
         // Work conservation: faults delay jobs, they never lose them.
         prop_assert_eq!(r.jobs.len(), jobs.len());
@@ -261,7 +263,7 @@ proptest! {
         // exactly at the crash slot (evicted or just-finished) and may
         // start exactly at the restore slot, never in between.
         let windows = down_windows(&faults, 3);
-        for span in &r.timeline {
+        for span in &series.timeline {
             for &(c, rst) in &windows[span.server.0 as usize] {
                 prop_assert!(
                     span.end <= c || span.start >= rst,
@@ -271,29 +273,33 @@ proptest! {
             }
         }
 
-        // Determinism: an identical rerun reproduces the report bit-wise.
-        let r2 = run(seed);
+        // Determinism: an identical rerun reproduces the report bit-wise,
+        // and the copy timeline with it.
+        let (r2, series2) = run(seed);
         prop_assert_eq!(
             serde_json::to_string(&r).unwrap(),
             serde_json::to_string(&r2).unwrap()
         );
+        prop_assert_eq!(series.timeline, series2.timeline);
     }
 
-    /// A zero-fault run through `simulate_with_faults` is byte-identical
-    /// to the plain `simulate` path — fault support costs nothing when
-    /// unused.
+    /// A zero-fault run recorded through the engine entry point is
+    /// byte-identical to the plain `simulate` path — neither fault
+    /// support nor recording changes anything when unused.
     #[test]
     fn empty_fault_timeline_is_byte_identical(seed in 0u64..3_000) {
         let cluster = ClusterSpec::homogeneous(3, 6.0, 12.0);
         let jobs = chaotic_workload(seed, 8);
         let sampler = DurationSampler::new(seed, StragglerModel::google_traces());
-        let cfg = EngineConfig { record_timeline: true, ..Default::default() };
+        let cfg = EngineConfig::default();
         let mut a = ChaosScheduler::new(seed);
         let plain = simulate(&cluster, jobs.clone(), &sampler, &mut a, &cfg).without_wall_clock();
         let mut b = ChaosScheduler::new(seed);
-        let faulty = simulate_with_faults(
-            &cluster, jobs.clone(), &sampler, &mut b, &cfg, &FaultTimeline::empty(),
-        ).without_wall_clock();
+        let mut series = Series::default();
+        let faulty = try_simulate_with_faults_recorded(
+            &cluster, jobs.clone(), &sampler, &mut b, &cfg, &FaultTimeline::empty(), &mut series,
+        ).unwrap().without_wall_clock();
+        prop_assert!(!series.timeline.is_empty());
         prop_assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&faulty).unwrap()

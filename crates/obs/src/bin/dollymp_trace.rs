@@ -47,14 +47,12 @@ fn load(path: &str) -> Result<Journal, String> {
 
 fn header_line(j: &Journal) -> String {
     format!(
-        "scheduler={} seed={} fingerprint={} version={} events={} (utilization={}, timeline={})",
+        "scheduler={} seed={} fingerprint={} version={} events={}",
         j.header.scheduler,
         j.header.seed,
         j.header.config_fingerprint,
         j.header.version,
         j.events.len(),
-        j.header.record_utilization,
-        j.header.record_timeline,
     )
 }
 

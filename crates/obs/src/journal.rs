@@ -3,14 +3,13 @@
 //!
 //! A journal file is line-oriented: the first line is the
 //! [`JournalHeader`] (versioned, carrying the scheduler name, the run
-//! seed, the FNV-1a config fingerprint and the recording flags), every
+//! seed and the FNV-1a config fingerprint), every
 //! subsequent line one [`Event`]. Line-oriented JSON keeps the format
 //! streamable — `dollymp-trace inspect` and the replay verifier both
 //! read it without loading structure beyond one line at a time — and
 //! diff-friendly for humans.
 
 use crate::config_fingerprint;
-use dollymp_cluster::engine::EngineConfig;
 use dollymp_cluster::trace::{Event, Recorder};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -20,8 +19,9 @@ use std::collections::VecDeque;
 pub const JOURNAL_VERSION: u32 = 1;
 
 /// First line of every journal file: enough provenance to match the
-/// journal to the run that produced it and to know which optional
-/// streams (utilization, timeline) it contains.
+/// journal to the run that produced it. Journals written when the
+/// header also carried the two recording flags still load: the reader
+/// ignores keys it does not know.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JournalHeader {
     /// Format version ([`JOURNAL_VERSION`] at write time).
@@ -34,20 +34,12 @@ pub struct JournalHeader {
     /// [`config_fingerprint`] of `(seed, experiment config)` — 16 hex
     /// digits, same convention as the `dollymp-bench` artifacts.
     pub config_fingerprint: String,
-    /// Whether the run recorded utilization samples
-    /// (`EngineConfig::record_utilization`); replay only reconstructs
-    /// the utilization series when set.
-    pub record_utilization: bool,
-    /// Whether the run recorded the copy timeline
-    /// (`EngineConfig::record_timeline`); replay only reconstructs the
-    /// timeline when set.
-    pub record_timeline: bool,
 }
 
 /// An unbounded in-memory journal: header plus every event of one run,
 /// in emission order. This is the [`Recorder`] to pass to
-/// `simulate_recorded` when the full stream is wanted (replay
-/// verification, JSONL export).
+/// `try_simulate_with_faults_recorded` when the full stream is wanted
+/// (replay verification, JSONL export, series folding).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Journal {
     /// Run provenance (first line of the JSONL form).
@@ -58,22 +50,14 @@ pub struct Journal {
 
 impl Journal {
     /// Journal for a run of `scheduler` with the given seed and
-    /// experiment config (fingerprinted into the header) under `engine`
-    /// (whose recording flags the header copies).
-    pub fn for_run<T: Serialize>(
-        scheduler: &str,
-        seed: u64,
-        config: &T,
-        engine: &EngineConfig,
-    ) -> Journal {
+    /// experiment config (fingerprinted into the header).
+    pub fn for_run<T: Serialize>(scheduler: &str, seed: u64, config: &T) -> Journal {
         Journal {
             header: JournalHeader {
                 version: JOURNAL_VERSION,
                 scheduler: scheduler.to_string(),
                 seed,
                 config_fingerprint: config_fingerprint(seed, config),
-                record_utilization: engine.record_utilization,
-                record_timeline: engine.record_timeline,
             },
             events: Vec::new(),
         }
@@ -245,16 +229,26 @@ mod tests {
 
     #[test]
     fn jsonl_round_trip_preserves_journal() {
-        let mut j = Journal::for_run("fifo", 9, &"cfg", &EngineConfig::default());
+        let mut j = Journal::for_run("fifo", 9, &"cfg");
         j.record(tick(0));
         j.record(tick(3));
-        let back = Journal::from_jsonl(&j.to_jsonl()).unwrap();
-        assert_eq!(back, j);
+        let text = j.to_jsonl();
+        // An archived header that still carries the retired recording
+        // flags loads to the same journal.
+        let archived = text.replacen(
+            "}\n",
+            ",\"record_utilization\":true,\"record_timeline\":false}\n",
+            1,
+        );
+        assert_ne!(archived, text);
+        for input in [text, archived] {
+            assert_eq!(Journal::from_jsonl(&input).unwrap(), j, "{input}");
+        }
     }
 
     #[test]
     fn newer_version_is_rejected() {
-        let mut j = Journal::for_run("fifo", 9, &"cfg", &EngineConfig::default());
+        let mut j = Journal::for_run("fifo", 9, &"cfg");
         j.header.version = JOURNAL_VERSION + 1;
         match Journal::from_jsonl(&j.to_jsonl()) {
             Err(JournalError::UnsupportedVersion(v)) => assert_eq!(v, JOURNAL_VERSION + 1),
@@ -264,7 +258,7 @@ mod tests {
 
     #[test]
     fn bad_event_line_is_located() {
-        let mut text = Journal::for_run("fifo", 9, &"cfg", &EngineConfig::default()).to_jsonl();
+        let mut text = Journal::for_run("fifo", 9, &"cfg").to_jsonl();
         text.push_str("{\"NotAnEvent\":{}}\n");
         match Journal::from_jsonl(&text) {
             Err(JournalError::BadLine { line, .. }) => assert_eq!(line, 2),

@@ -7,18 +7,20 @@
 //!
 //! * [`journal`] — a bounded in-memory ring recorder and a JSONL
 //!   journal with a versioned header (scheduler, seed, FNV-1a config
-//!   fingerprint, recording flags);
+//!   fingerprint);
 //! * [`registry`] — a [`registry::MetricsRegistry`] of counters, gauges
-//!   and nearest-rank histograms that can reconstruct
-//!   `SchedOverhead` / `FaultStats` / `GuardStats` from the stream;
+//!   and nearest-rank histograms over the stream;
 //! * [`replay`] — re-derives a full `SimReport` purely from a journal
-//!   and byte-diffs it against the live report, returning a typed
+//!   (including `SchedOverhead` / `FaultStats` / `GuardStats`) and
+//!   byte-diffs it against the live report, returning a typed
 //!   [`replay::Divergence`] on mismatch. This is the standing
 //!   correctness oracle for engine/scheduler refactors: any change that
 //!   perturbs observable behavior shows up as a replay divergence.
 //!
 //! The `dollymp-trace` binary exposes the same machinery on the command
-//! line (inspect / summary / diff / verify).
+//! line (inspect / summary / diff / verify). The copy timeline and the
+//! utilization series come from the same journal through
+//! `dollymp_cluster::trace::Series::from_events`.
 //!
 //! ## Quick start
 //!
@@ -34,11 +36,14 @@
 //! let mut policy = FifoFirstFit;
 //! let cfg = EngineConfig::default();
 //!
-//! let mut journal = Journal::for_run("fifo", 42, &cfg, &cfg);
-//! let report = simulate_recorded(
+//! let mut journal = Journal::for_run("fifo", 42, &cfg);
+//! let report = try_simulate_with_faults_recorded(
 //!     &cluster, jobs, &sampler, &mut policy, &cfg, &FaultTimeline::default(), &mut journal,
-//! );
+//! )
+//! .expect("the run completes");
 //! replay::verify(&journal, &report).expect("journal replays to the live report");
+//! let series = Series::from_events(&journal.events);
+//! assert_eq!(series.timeline.len(), 8, "one span per copy");
 //! ```
 
 #![deny(missing_docs)]

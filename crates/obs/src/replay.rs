@@ -12,9 +12,7 @@
 //! oracle for engine and scheduler refactors.
 
 use crate::journal::Journal;
-use dollymp_cluster::metrics::{
-    CopyOutcome, CopySpan, FaultStats, GuardStats, SchedOverhead, SimReport,
-};
+use dollymp_cluster::metrics::{FaultStats, GuardStats, SchedOverhead, SimReport};
 use dollymp_cluster::trace::Event;
 use dollymp_core::time::Time;
 
@@ -25,7 +23,7 @@ pub struct Divergence {
     /// `jobs[3].flowtime`, `faults.work_lost_norm`).
     pub field: String,
     /// Simulation slot the divergent record belongs to, when the field
-    /// has one (a job's completion slot, a utilization sample's slot).
+    /// has one (a job's completion slot).
     pub slot: Option<Time>,
     /// Index into the journal's event stream of the event that produced
     /// the divergent replayed value, when one did.
@@ -52,8 +50,6 @@ impl std::fmt::Display for Divergence {
 #[derive(Debug, Default)]
 struct Provenance {
     jobs: Vec<usize>,
-    utilization: Vec<usize>,
-    timeline: Vec<usize>,
     spans: Vec<usize>,
 }
 
@@ -65,8 +61,6 @@ fn reconstruct(journal: &Journal) -> (SimReport, Provenance) {
     let mut decision_points = 0u64;
     let mut faults = FaultStats::default();
     let mut guard = GuardStats::default();
-    let mut utilization: Vec<(Time, f64, f64)> = Vec::new();
-    let mut timeline: Vec<CopySpan> = Vec::new();
 
     for (i, ev) in journal.events.iter().enumerate() {
         match ev {
@@ -84,53 +78,11 @@ fn reconstruct(journal: &Journal) -> (SimReport, Provenance) {
                 scheduling_ns += schedule_ns;
                 overhead_samples.push(arrival_ns + schedule_ns);
             }
-            Event::CopyRetire {
-                at,
-                task,
-                copy_idx,
-                server,
-                kind,
-                start,
-                outcome,
-            } => {
-                if journal.header.record_timeline {
-                    prov.timeline.push(i);
-                    timeline.push(CopySpan {
-                        task: *task,
-                        copy_idx: *copy_idx,
-                        server: *server,
-                        kind: *kind,
-                        start: *start,
-                        end: *at,
-                        outcome: *outcome,
-                    });
-                }
-            }
-            Event::CopyEvict {
-                at,
-                task,
-                copy_idx,
-                server,
-                kind,
-                start,
-                work_lost_norm,
-            } => {
+            Event::CopyEvict { work_lost_norm, .. } => {
                 faults.copies_evicted += 1;
                 // Same summation order as the live engine ⇒ the f64
                 // total is bit-identical.
                 faults.work_lost_norm += work_lost_norm;
-                if journal.header.record_timeline {
-                    prov.timeline.push(i);
-                    timeline.push(CopySpan {
-                        task: *task,
-                        copy_idx: *copy_idx,
-                        server: *server,
-                        kind: *kind,
-                        start: *start,
-                        end: *at,
-                        outcome: CopyOutcome::Evicted,
-                    });
-                }
             }
             Event::TaskSaved { .. } => faults.tasks_saved_by_clone += 1,
             Event::TaskLost { .. } => faults.tasks_requeued += 1,
@@ -138,13 +90,11 @@ fn reconstruct(journal: &Journal) -> (SimReport, Provenance) {
             Event::ServerRestore { .. } => faults.server_recoveries += 1,
             Event::ServerDegrade { .. } => faults.server_degradations += 1,
             Event::GuardDelta { delta, .. } => guard.accumulate(delta),
-            Event::UtilSample { at, cpu, mem } => {
-                if journal.header.record_utilization {
-                    prov.utilization.push(i);
-                    utilization.push((*at, *cpu, *mem));
-                }
-            }
-            Event::SlotTick { .. } | Event::JobArrival { .. } | Event::CopyLaunch { .. } => {}
+            Event::SlotTick { .. }
+            | Event::JobArrival { .. }
+            | Event::CopyLaunch { .. }
+            | Event::CopyRetire { .. }
+            | Event::UtilSample { .. } => {}
         }
     }
 
@@ -158,8 +108,8 @@ fn reconstruct(journal: &Journal) -> (SimReport, Provenance) {
         sched_overhead: SchedOverhead::from_samples(&overhead_samples),
         faults,
         guard,
-        utilization,
-        timeline,
+        utilization: Vec::new(),
+        timeline: Vec::new(),
     };
     (report, prov)
 }
@@ -256,7 +206,9 @@ fn localize(r: &SimReport, l: &SimReport, prov: &Provenance) -> Divergence {
     if r.guard != l.guard {
         return diverge("guard".into(), None, None, &r.guard, &l.guard);
     }
-    if r.utilization.len() != l.utilization.len() {
+    // The engine leaves both series empty; an archived report that
+    // still carries them cannot replay from its journal.
+    if r.utilization != l.utilization {
         return diverge(
             "utilization.len".into(),
             None,
@@ -265,18 +217,7 @@ fn localize(r: &SimReport, l: &SimReport, prov: &Provenance) -> Divergence {
             &l.utilization.len(),
         );
     }
-    for (i, (ru, lu)) in r.utilization.iter().zip(&l.utilization).enumerate() {
-        if ru != lu {
-            return diverge(
-                format!("utilization[{i}]"),
-                Some(lu.0),
-                prov.utilization.get(i).copied(),
-                ru,
-                lu,
-            );
-        }
-    }
-    if r.timeline.len() != l.timeline.len() {
+    if r.timeline != l.timeline {
         return diverge(
             "timeline.len".into(),
             None,
@@ -284,17 +225,6 @@ fn localize(r: &SimReport, l: &SimReport, prov: &Provenance) -> Divergence {
             &r.timeline.len(),
             &l.timeline.len(),
         );
-    }
-    for (i, (rt, lt)) in r.timeline.iter().zip(&l.timeline).enumerate() {
-        if rt != lt {
-            return diverge(
-                format!("timeline[{i}]"),
-                Some(lt.end),
-                prov.timeline.get(i).copied(),
-                rt,
-                lt,
-            );
-        }
     }
     Divergence {
         field: "unknown".into(),
@@ -307,7 +237,7 @@ fn localize(r: &SimReport, l: &SimReport, prov: &Provenance) -> Divergence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dollymp_cluster::engine::{simulate_recorded, EngineConfig};
+    use dollymp_cluster::engine::{try_simulate_with_faults_recorded, EngineConfig};
     use dollymp_cluster::execution::{DurationSampler, StragglerModel};
     use dollymp_cluster::fault::FaultTimeline;
     use dollymp_cluster::scheduler::FifoFirstFit;
@@ -315,7 +245,7 @@ mod tests {
     use dollymp_core::job::{JobId, JobSpec};
     use dollymp_core::resources::Resources;
 
-    fn run_recorded(cfg: &EngineConfig) -> (Journal, SimReport) {
+    fn run_recorded() -> (Journal, SimReport) {
         let cluster = ClusterSpec::homogeneous(4, 8.0, 16.0);
         let jobs: Vec<JobSpec> = (0..6)
             .map(|i| {
@@ -326,27 +256,24 @@ mod tests {
             .collect();
         let sampler = DurationSampler::new(11, StragglerModel::ParetoFit);
         let mut policy = FifoFirstFit;
-        let mut journal = Journal::for_run("fifo", 11, cfg, cfg);
-        let report = simulate_recorded(
+        let cfg = EngineConfig::default();
+        let mut journal = Journal::for_run("fifo", 11, &cfg);
+        let report = try_simulate_with_faults_recorded(
             &cluster,
             jobs,
             &sampler,
             &mut policy,
-            cfg,
+            &cfg,
             &FaultTimeline::default(),
             &mut journal,
-        );
+        )
+        .unwrap();
         (journal, report)
     }
 
     #[test]
     fn clean_run_verifies() {
-        let cfg = EngineConfig {
-            record_utilization: true,
-            record_timeline: true,
-            ..EngineConfig::default()
-        };
-        let (journal, live) = run_recorded(&cfg);
+        let (journal, live) = run_recorded();
         assert!(!journal.events.is_empty());
         verify(&journal, &live).unwrap();
         assert_eq!(replay_report(&journal), live);
@@ -354,8 +281,7 @@ mod tests {
 
     #[test]
     fn tampered_journal_localizes_the_divergence() {
-        let cfg = EngineConfig::default();
-        let (mut journal, live) = run_recorded(&cfg);
+        let (mut journal, live) = run_recorded();
         // Corrupt one job record: flowtime off by one.
         let idx = journal
             .events
@@ -374,8 +300,7 @@ mod tests {
 
     #[test]
     fn dropped_span_shows_up_as_decision_point_divergence() {
-        let cfg = EngineConfig::default();
-        let (mut journal, live) = run_recorded(&cfg);
+        let (mut journal, live) = run_recorded();
         let idx = journal
             .events
             .iter()

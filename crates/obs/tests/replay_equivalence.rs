@@ -71,14 +71,10 @@ fn run_recorded(name: &str, seed: u64, with_faults: bool) -> (Journal, SimReport
         FaultTimeline::empty()
     };
     let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
-    let cfg = EngineConfig {
-        record_utilization: true,
-        record_timeline: true,
-        ..EngineConfig::default()
-    };
+    let cfg = EngineConfig::default();
     let mut policy = dollymp_schedulers::by_name(name).expect("known scheduler");
-    let mut journal = Journal::for_run(name, seed, &cfg, &cfg);
-    let report = simulate_recorded(
+    let mut journal = Journal::for_run(name, seed, &cfg);
+    let report = try_simulate_with_faults_recorded(
         &cluster,
         workload(seed),
         &sampler,
@@ -86,7 +82,8 @@ fn run_recorded(name: &str, seed: u64, with_faults: bool) -> (Journal, SimReport
         &cfg,
         &timeline,
         &mut journal,
-    );
+    )
+    .expect("run completes");
     (journal, report)
 }
 
@@ -174,8 +171,8 @@ fn guarded_hostile_run_replays_guard_stats() {
         ..AdversarialConfig::default()
     });
     let mut policy = GuardedScheduler::new(hostile);
-    let mut journal = Journal::for_run(&policy.name(), 7, &cfg, &cfg);
-    let report = simulate_recorded(
+    let mut journal = Journal::for_run(&policy.name(), 7, &cfg);
+    let report = try_simulate_with_faults_recorded(
         &cluster,
         workload(7),
         &sampler,
@@ -183,7 +180,8 @@ fn guarded_hostile_run_replays_guard_stats() {
         &cfg,
         &FaultTimeline::empty(),
         &mut journal,
-    );
+    )
+    .expect("contained");
     assert!(
         report.guard.total_rejections() > 0,
         "hostile policy should have been contained at least once"
@@ -192,7 +190,8 @@ fn guarded_hostile_run_replays_guard_stats() {
 }
 
 /// The `NullRecorder` path and the recorded path produce identical
-/// simulation outcomes — recording is purely observational.
+/// simulation outcomes — recording is purely observational — and a
+/// `Series` recorded live equals the one folded from the journal.
 #[test]
 fn recording_does_not_perturb_the_simulation() {
     for name in SCHEDULERS {
@@ -200,24 +199,38 @@ fn recording_does_not_perturb_the_simulation() {
         assert!(!journal.events.is_empty());
         let cluster = cluster();
         let sampler = DurationSampler::new(3, StragglerModel::ParetoFit);
-        let cfg = EngineConfig {
-            record_utilization: true,
-            record_timeline: true,
-            ..EngineConfig::default()
-        };
+        let cfg = EngineConfig::default();
         let mut policy = dollymp_schedulers::by_name(name).unwrap();
-        let plain = simulate_with_faults(
+        let plain = try_simulate_with_faults(
             &cluster,
             workload(3),
             &sampler,
             &mut policy,
             &cfg,
             &faults(3),
-        );
-        assert_eq!(
-            serde_json::to_string(&plain.without_wall_clock()).unwrap(),
-            serde_json::to_string(&recorded.without_wall_clock()).unwrap(),
-            "{name}: recording changed the simulation outcome"
-        );
+        )
+        .unwrap();
+        let mut live_series = Series::default();
+        let mut policy = dollymp_schedulers::by_name(name).unwrap();
+        let with_series = try_simulate_with_faults_recorded(
+            &cluster,
+            workload(3),
+            &sampler,
+            &mut policy,
+            &cfg,
+            &faults(3),
+            &mut live_series,
+        )
+        .unwrap();
+        for other in [&plain, &with_series] {
+            assert_eq!(
+                serde_json::to_string(&other.clone().without_wall_clock()).unwrap(),
+                serde_json::to_string(&recorded.clone().without_wall_clock()).unwrap(),
+                "{name}: recording changed the simulation outcome"
+            );
+        }
+        let folded = Series::from_events(&journal.events);
+        assert!(!folded.timeline.is_empty() && !folded.utilization.is_empty());
+        assert_eq!(live_series, folded, "{name}: live and folded series differ");
     }
 }

@@ -226,7 +226,8 @@ impl Scheduler for AdversarialScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dollymp_cluster::engine::{try_simulate, EngineConfig};
+    use dollymp_cluster::engine::{try_simulate_with_faults, EngineConfig};
+    use dollymp_cluster::fault::FaultTimeline;
     use dollymp_cluster::guard::{GuardConfig, GuardedScheduler};
     use dollymp_core::job::JobSpec;
     use dollymp_core::resources::Resources;
@@ -247,7 +248,14 @@ mod tests {
     fn unguarded_adversary_errors_instead_of_completing() {
         let (cluster, jobs, sampler) = workload();
         let mut adv = AdversarialScheduler::new();
-        let res = try_simulate(&cluster, jobs, &sampler, &mut adv, &EngineConfig::default());
+        let res = try_simulate_with_faults(
+            &cluster,
+            jobs,
+            &sampler,
+            &mut adv,
+            &EngineConfig::default(),
+            &FaultTimeline::empty(),
+        );
         assert!(res.is_err(), "strict mode must refuse the adversary");
     }
 
@@ -261,12 +269,13 @@ mod tests {
                 ..GuardConfig::default()
             },
         );
-        let report = try_simulate(
+        let report = try_simulate_with_faults(
             &cluster,
             jobs,
             &sampler,
             &mut guard,
             &EngineConfig::default(),
+            &FaultTimeline::empty(),
         )
         .expect("guard contains the adversary");
         assert_eq!(report.jobs.len(), 5, "every job completes");

@@ -294,7 +294,7 @@ mod tests {
 
     #[test]
     fn recovered_task_jumps_the_fifo_queue() {
-        use dollymp_cluster::engine::simulate_with_faults;
+        use dollymp_cluster::engine::try_simulate_with_faults;
 
         // Two unit servers. Job 0 is a two-phase chain (θ=8 each); job 1
         // is a single 20-slot task that starts on server 1. Server 1
@@ -311,14 +311,15 @@ mod tests {
             event: FaultEvent::Crash(ServerId(1)),
         }]);
         let mut s = CapacityScheduler::without_speculation();
-        let r = simulate_with_faults(
+        let r = try_simulate_with_faults(
             &cluster,
             vec![chain, lone],
             &det(),
             &mut s,
             &EngineConfig::default(),
             &faults,
-        );
+        )
+        .unwrap();
         assert_eq!(r.faults.tasks_requeued, 1);
         let by_id = r.by_id();
         // Job 1 restarts at t=8 on the freed server (3..8 nothing fits),

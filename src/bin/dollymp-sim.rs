@@ -177,6 +177,8 @@ fn main() {
     );
 
     let mut reports = Vec::new();
+    // One copy timeline per scheduler, folded from the run's event stream.
+    let mut timelines = Vec::new();
     for name in &args.schedulers {
         let Some(mut s) = by_name(name) else {
             eprintln!("unknown scheduler {name}");
@@ -184,10 +186,25 @@ fn main() {
         };
         let cfg = EngineConfig {
             tick: (name == "capacity" || name == "hopper").then_some(1),
-            record_timeline: args.timeline.is_some(),
             ..Default::default()
         };
-        let r = simulate(&cluster, jobs.clone(), &sampler, s.as_mut(), &cfg);
+        let r = if args.timeline.is_some() {
+            let mut series = Series::default();
+            let r = try_simulate_with_faults_recorded(
+                &cluster,
+                jobs.clone(),
+                &sampler,
+                s.as_mut(),
+                &cfg,
+                &FaultTimeline::empty(),
+                &mut series,
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+            timelines.push(series.timeline);
+            r
+        } else {
+            simulate(&cluster, jobs.clone(), &sampler, s.as_mut(), &cfg)
+        };
         println!(
             "{:<20} {:>12} {:>10.1} {:>10.1} {:>10} {:>12}",
             name,
@@ -202,14 +219,14 @@ fn main() {
 
     if let Some(path) = &args.timeline {
         // One Chrome-trace file per scheduler: <path>.<scheduler>.json
-        for r in &reports {
-            let trace = dollymp::cluster::metrics::timeline_to_chrome_trace(&r.timeline, 5.0);
+        for (r, timeline) in reports.iter().zip(&timelines) {
+            let trace = dollymp::cluster::metrics::timeline_to_chrome_trace(timeline, 5.0);
             let file = format!("{path}.{}.json", r.scheduler);
             if let Err(e) = std::fs::write(&file, trace) {
                 eprintln!("failed to write {file}: {e}");
                 exit(1);
             }
-            println!("timeline ({} spans) written to {file}", r.timeline.len());
+            println!("timeline ({} spans) written to {file}", timeline.len());
         }
     }
 

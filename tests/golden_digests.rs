@@ -1,8 +1,10 @@
 //! Golden-digest tripwire: every registered policy, plus the YARN
 //! deployment, runs a fixed seed matrix on the paper's 30-node cluster
-//! with and without one fixed crash/restore timeline, and the FNV-1a
-//! fingerprint of each report's deterministic fields must match the
-//! committed table below.
+//! with and without one fixed crash/restore timeline, recorded into a
+//! journal. Each journal must replay to its live report, and the FNV-1a
+//! fingerprint of the report's deterministic fields plus the copy
+//! timeline and utilization series folded from the journal must match
+//! the committed table below.
 //!
 //! A refactor that claims to keep decisions byte-identical must leave
 //! this table untouched. A change that moves decisions on purpose
@@ -11,6 +13,8 @@
 
 use dollymp::prelude::*;
 use dollymp_obs::config_fingerprint;
+use dollymp_obs::journal::Journal;
+use dollymp_obs::replay;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,7 +88,8 @@ fn policy(name: &str) -> Box<dyn Scheduler> {
 }
 
 /// Fingerprint of the report's deterministic fields (everything except
-/// the wall-clock `scheduling_ns` and `sched_overhead`).
+/// the wall-clock `scheduling_ns` and `sched_overhead`) and of the
+/// journal's series.
 fn digest(name: &str, seed: u64, faults: bool) -> String {
     let cluster = ClusterSpec::paper_30_node();
     let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
@@ -95,30 +100,35 @@ fn digest(name: &str, seed: u64, faults: bool) -> String {
     };
     let cfg = EngineConfig {
         tick: (name.starts_with("capacity") || name == "hopper").then_some(1),
-        record_utilization: true,
-        record_timeline: true,
         ..EngineConfig::default()
     };
     let mut s = policy(name);
-    let r = simulate_with_faults(
+    let mut journal = Journal::for_run(name, seed, &cfg);
+    let r = try_simulate_with_faults_recorded(
         &cluster,
         workload(seed),
         &sampler,
         s.as_mut(),
         &cfg,
         &timeline,
-    );
+        &mut journal,
+    )
+    .unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(r.jobs.len(), 30, "{name}: every job completes");
     if faults {
         assert!(r.faults.copies_evicted > 0, "{name}: the crashes must bite");
     }
+    if let Err(d) = replay::verify(&journal, &r) {
+        panic!("{name} seed {seed} faults={faults}: {d}");
+    }
+    let series = Series::from_events(&journal.events);
     let fields = (
         &r.scheduler,
         &r.jobs,
         (r.makespan, r.decision_points),
         &r.faults,
         &r.guard,
-        (&r.utilization, &r.timeline),
+        (&series.utilization, &series.timeline),
     );
     config_fingerprint(seed, &fields)
 }

@@ -104,16 +104,16 @@ proptest! {
         let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
         for name in ["fifo", "dollymp2"] {
             let mut plain = dollymp::schedulers::by_name(name).expect("known policy");
-            let unguarded = simulate_with_faults(
+            let unguarded = try_simulate_with_faults(
                 &cluster, jobs.clone(), &sampler, plain.as_mut(),
                 &EngineConfig::default(), &faults,
-            );
+            ).unwrap();
             let inner = dollymp::schedulers::by_name(name).expect("known policy");
             let mut guard = dollymp_cluster::guard::GuardedScheduler::new(inner);
-            let guarded = simulate_with_faults(
+            let guarded = try_simulate_with_faults(
                 &cluster, jobs.clone(), &sampler, &mut guard,
                 &EngineConfig::default(), &faults,
-            );
+            ).unwrap();
             prop_assert!(guarded.guard.is_clean(), "{}: no interventions", name);
             prop_assert_eq!(unguarded.without_wall_clock(), guarded.without_wall_clock(), "{} must be unchanged", name);
         }
@@ -128,8 +128,15 @@ fn strict_mode_rejects_the_adversary_with_typed_errors() {
     let jobs = workload(77, 6);
     let sampler = DurationSampler::new(77, StragglerModel::ParetoFit);
     let mut adv = AdversarialScheduler::new();
-    let err = try_simulate(&cluster, jobs, &sampler, &mut adv, &EngineConfig::default())
-        .expect_err("strict mode must refuse");
+    let err = try_simulate_with_faults(
+        &cluster,
+        jobs,
+        &sampler,
+        &mut adv,
+        &EngineConfig::default(),
+        &FaultTimeline::empty(),
+    )
+    .expect_err("strict mode must refuse");
     // Whatever attack fired first, it lands in the shared taxonomy.
     let _reason: RejectReason = err.reason();
 }
@@ -198,12 +205,13 @@ fn overload_guard_throttles_clones_under_saturation() {
             ..GuardConfig::default()
         },
     );
-    let report = try_simulate(
+    let report = try_simulate_with_faults(
         &cluster,
         jobs,
         &sampler,
         &mut guard,
         &EngineConfig::default(),
+        &FaultTimeline::empty(),
     )
     .expect("completes");
     assert_eq!(report.jobs.len(), 24);
